@@ -12,18 +12,29 @@ rescalings of the same whole-plane trajectory, so one integration serves
 every boundary condition at fixed (p, alpha).
 
 Energies and the flux integral are carried as augmented quadrature
-states; zeros and critical points are located by event detection on the
-integrator's dense output.
+states.  The integration runs in SciPy's compiled DOP853, which hands
+back only the accepted steps.  Zeros and critical points are located by
+root finding on DOP853's 7th-order interpolant of the one step that
+brackets each sign change; the interpolant is rebuilt after the fact
+from the step's endpoints and re-evaluated stages (Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.6).  The same rebuild over every step gives
+the dense output, which is built on first use and never pickled.
 """
 
 from __future__ import annotations
 
+import bisect
+import logging
 import math
 import os
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, ode, quad
+from scipy.optimize import brentq
 
 from .constants import m0_product_formula
 
@@ -49,6 +60,14 @@ _START_COEFF = 1e-12
 
 #: on-trajectory combined exponents stay below ~30; clamp trial steps here
 _EXP_CAP = 100.0
+
+#: step limit (NMAX) handed to DOP853; a run past it is a SolverError
+_MAX_STEPS = 1_000_000
+
+#: event-localization tolerance, as in scipy.integrate.solve_ivp
+_EVENT_XTOL = 4.0 * np.finfo(float).eps
+
+_LOG = logging.getLogger("nodal")
 
 
 class SolverError(RuntimeError):
@@ -93,12 +112,21 @@ class WholePlaneSolution:
     zero_states: np.ndarray
     log_crit: np.ndarray
     crit_states: np.ndarray
-    _dense: object = field(repr=False, compare=False)
+    #: (Eg, Ep) at the stored nodes ``t``
+    _energy: np.ndarray = field(repr=False, compare=False)
+    #: (t, u, u_t, Eg, Ep) at the end of the accepted step holding the last
+    #: zero; that step's interpolant also covers the truncated final segment
+    _step_end: np.ndarray = field(repr=False, compare=False)
+    _dense: _DenseOutput | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for arr in (self.t, self.u, self.ut, self.log_zeros, self.zero_states,
-                    self.log_crit, self.crit_states):
+                    self.log_crit, self.crit_states, self._energy, self._step_end):
             arr.setflags(write=False)
+
+    def __getstate__(self) -> dict:
+        # the dense output is rebuilt on demand, so pickles stay small
+        return {**self.__dict__, "_dense": None}
 
     @property
     def crit_values(self) -> np.ndarray:
@@ -119,15 +147,21 @@ class WholePlaneSolution:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr > self.t_end + 1e-9):
             raise ValueError("eval_state: log-radius beyond the integrated range")
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
+        if self._dense is None:
+            nodes = np.vstack([self.t, self.u, self.ut, self._energy])
+            nodes[:, -1] = self._step_end
+            object.__setattr__(self, "_dense", _DenseOutput(self.p, self.alpha, nodes))
+        if t_arr.ndim == 0:
+            if t_arr < self.t_start:
+                return _series_state(self.p, self.alpha, t_arr)
+            return self._dense.at(float(t_arr))
         out = np.empty((4, t_arr.size))
         early = t_arr < self.t_start
         if np.any(~early):
             out[:, ~early] = self._dense(t_arr[~early])
         if np.any(early):
             out[:, early] = _series_state(self.p, self.alpha, t_arr[early])
-        return out[:, 0] if scalar else out
+        return out
 
     def eval_u(self, t):
         return self.eval_state(t)[0]
@@ -187,12 +221,105 @@ def _make_rhs(p: float, q: float):
     return rhs
 
 
+def _rhs_array(p: float, q: float, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The right-hand side of ``_make_rhs`` at many points: t (n,), y (4, n)."""
+    u, v = y[0], y[1]
+    au = np.abs(u)
+    live = au >= 1e-300
+    lu = np.log(np.where(live, au, 1.0))
+    ex = q * t + p * lu
+    f = np.where(live & (ex > -700.0), np.copysign(np.exp(np.minimum(ex, _EXP_CAP)), u), 0.0)
+    exg = ex + lu
+    g = np.where(live & (exg > -700.0), np.exp(np.minimum(exg, _EXP_CAP)), 0.0)
+    return np.stack([v, -f, v * v, g])
+
+
+def _step_coeffs(p: float, q: float, t0: np.ndarray, y0: np.ndarray,
+                 t1: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """DOP853 dense-output coefficients of the accepted steps t0 -> t1.
+
+    The twelve stages of each step are re-evaluated from its start point,
+    then the three extra interpolation stages, exactly as DOP853 does when
+    it forms its continuous output; all steps go through the RHS at once.
+    Returns F with shape (n, 7, 4): step k's interpolant at the step
+    fraction x is ``y0[k] + _basis(x) @ F[k]``.
+    """
+    h = t1 - t0
+    k = np.empty((16, 4, len(h)))
+    k[0] = _rhs_array(p, q, t0, y0)
+    for s in range(1, DOP853.n_stages):
+        k[s] = _rhs_array(p, q, t0 + DOP853.C[s] * h,
+                          y0 + h * np.tensordot(DOP853.A[s, :s], k[:s], axes=1))
+    k[DOP853.n_stages] = _rhs_array(p, q, t1, y1)
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
+                               start=DOP853.n_stages + 1):
+        k[s] = _rhs_array(p, q, t0 + c * h, y0 + h * np.tensordot(a[:s], k[:s], axes=1))
+    dy = y1 - y0
+    f = np.empty((7, 4, len(h)))
+    f[0] = dy
+    f[1] = h * k[0] - dy
+    f[2] = 2.0 * dy - h * (k[DOP853.n_stages] + k[0])
+    f[3:] = h * np.tensordot(DOP853.D, k, axes=1)
+    return np.moveaxis(f, 2, 0)
+
+
+def _basis(x):
+    """DOP853's interpolation basis x, x(1-x), x^2(1-x), ..., x^4(1-x)^3.
+
+    DOP853 evaluates its interpolant in the nested form
+    ``x(F0 + (1-x)(F1 + x(F2 + ...)))``; this is the same sum multiplied
+    out.  x is a float or an array; returns a list of seven of the same.
+    """
+    out = [x]
+    for j in range(1, 7):
+        out.append(out[-1] * (1.0 - x if j % 2 else x))
+    return out
+
+
+class _DenseOutput:
+    """Piecewise DOP853 interpolant over every accepted step."""
+
+    def __init__(self, p: float, alpha: float, nodes: np.ndarray) -> None:
+        # nodes: (t, u, u_t, Eg, Ep) rows at the accepted steps
+        t, y = nodes[0], nodes[1:]
+        self.t = t
+        self.knots = t.tolist()
+        self.y0 = y[:, :-1].T
+        self.f = _step_coeffs(p, 2.0 + alpha, t[:-1], y[:, :-1], t[1:], y[:, 1:])
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """States, shape (4, n), at the log-radii t."""
+        k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
+        x = ((t - self.t[k]) / (self.t[k + 1] - self.t[k]))[:, None, None]
+        return (self.y0[k] + (np.concatenate(_basis(x), axis=2) @ self.f[k])[:, 0]).T
+
+    def at(self, t: float) -> np.ndarray:
+        """The state at one log-radius; a scalar path for quadrature loops."""
+        k = min(max(bisect.bisect_right(self.knots, t) - 1, 0), len(self.knots) - 2)
+        x = (t - self.knots[k]) / (self.knots[k + 1] - self.knots[k])
+        return self.y0[k] + np.dot(_basis(x), self.f[k])
+
+
 def _resolve_tol(tol: float | None) -> float:
     if tol is None:
         return default_tolerance()
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol out of range (0, 1): {tol!r}")
     return float(tol)
+
+
+def _solve_key(p: float, alpha: float, m_max: int, tol: float) -> tuple:
+    """Validated memo key (p, alpha, m_max, tol) of one whole-plane solve."""
+    if not (math.isfinite(p) and math.isfinite(alpha)):
+        raise ValueError(
+            f"solve_whole_plane: p and alpha must be finite (p={p!r}, alpha={alpha!r})")
+    if not p > 1.0:
+        raise ValueError("solve_whole_plane: p must be > 1")
+    if alpha < 0.0:
+        raise ValueError("solve_whole_plane: alpha must be >= 0")
+    if m_max < 1:
+        raise ValueError("solve_whole_plane: m_max must be >= 1")
+    return (float(p), float(alpha), int(m_max), tol)
 
 
 _CACHE: dict[tuple, WholePlaneSolution] = {}
@@ -210,31 +337,32 @@ def solve_whole_plane(
 ) -> WholePlaneSolution:
     """Integrate the normalized whole-plane solution up to its m_max-th zero.
 
-    Event detection collects the first ``m_max`` sign changes and the
-    critical points strictly between them; event locations come from root
-    finding on the dense output (machine-accurate in t).  Results are
-    immutable and memoized on (p, alpha, m_max, tol).
+    Integration stops at the step holding the ``m_max``-th sign change;
+    zeros and the critical points strictly between them are located by
+    root finding on the interpolant of the bracketing step
+    (machine-accurate in t).  Results are immutable and memoized on
+    (p, alpha, m_max, tol).
 
     Raises
     ------
+    ValueError
+        If p or alpha is not finite, p <= 1, alpha < 0 or m_max < 1.
     SolverError
         If the step controller fails, fewer than ``m_max`` zeros are found
         before the t cap, or the zero/critical interlacing is violated.
     """
-    if not p > 1.0:
-        raise ValueError("solve_whole_plane: p must be > 1")
-    if alpha < 0.0:
-        raise ValueError("solve_whole_plane: alpha must be >= 0")
-    if m_max < 1:
-        raise ValueError("solve_whole_plane: m_max must be >= 1")
-    tol = _resolve_tol(tol)
-    key = (float(p), float(alpha), int(m_max), tol)
+    key = _solve_key(p, alpha, m_max, _resolve_tol(tol))
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
     sol = _solve_impl(*key)
     _cache_put(key, sol)
     return sol
+
+
+def _crosses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sign change from a to b, touching zero included (solve_ivp's rule)."""
+    return ((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0))
 
 
 def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSolution:
@@ -245,34 +373,72 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
     t0 = math.log(_START_COEFF) / q
     y0 = _series_state(p, alpha, np.array([t0]))[:, 0]
 
-    ev_zero = lambda t, y: y[0]  # noqa: E731
-    ev_zero.terminal = m_max
-    ev_crit = lambda t, y: y[1]  # noqa: E731
+    ts: list[float] = []
+    ys: list[np.ndarray] = []
+    crossings = 0
 
-    res = solve_ivp(
-        _make_rhs(p, q),
-        (t0, t_cap),
-        y0,
-        method="DOP853",
-        rtol=max(tol * 1e-2, 1e-13),
-        atol=tol * 1e-4,
-        dense_output=True,
-        events=[ev_zero, ev_crit],
-    )
-    if res.status < 0:
-        raise SolverError(f"step controller failed: {res.message}")
-    lam = res.t_events[0]
-    if len(lam) < m_max:
+    def record_step(t: float, y: np.ndarray) -> int:
+        nonlocal crossings
+        if ys and _crosses(ys[-1][0], y[0]):
+            crossings += 1
+        ts.append(t)
+        ys.append(y.copy())
+        return -1 if crossings == m_max else 0
+
+    solver = ode(_make_rhs(p, q)).set_integrator(
+        "dop853", rtol=max(tol * 1e-2, 1e-13), atol=tol * 1e-4, nsteps=_MAX_STEPS)
+    solver.set_solout(record_step)
+    solver.set_initial_value(y0, t0)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solver.integrate(t_cap)
+    finally:
+        # SciPy's DOP853 wrapper keeps a reference to every solout callback
+        # it is handed (about 90 kB per solve with the recorded steps), so
+        # detach the recorder; what stays behind is about 2 kB per solve
+        solver.set_solout(None)
+    if solver.get_return_code() < 0:
+        detail = "; ".join(str(w.message) for w in caught)
         raise SolverError(
-            f"found {len(lam)} of {m_max} zeros before t cap {t_cap:.1f} "
+            f"step controller failed: {detail or solver.get_return_code()} "
+            f"(p={p}, alpha={alpha})")
+
+    t = np.array(ts)
+    y = np.array(ys).T
+    zero_steps = np.flatnonzero(_crosses(y[0, :-1], y[0, 1:]))
+    if len(zero_steps) < m_max:
+        raise SolverError(
+            f"found {len(zero_steps)} of {m_max} zeros before t cap {t_cap:.1f} "
             f"(p={p}, alpha={alpha}); the solution decayed or the cap is too tight"
         )
-    zero_states = res.y_events[0]
+    zero_steps = zero_steps[:m_max]
+    # critical points before the first zero are roundoff artifacts of the
+    # flat start; the rest must interlace the zeros, exactly one per gap
+    crit_steps = np.flatnonzero(_crosses(y[1, :-1], y[1, 1:]))
+    crit_steps = crit_steps[crit_steps >= zero_steps[0]]
 
-    # critical points must interlace the zeros: exactly one per gap; events
-    # before the first zero are roundoff artifacts of the flat start
-    tau_all = res.t_events[1]
-    tau_states_all = res.y_events[1]
+    # one vectorized interpolant rebuild for every bracketing step
+    steps = np.union1d(zero_steps, crit_steps)
+    coeffs = _step_coeffs(p, q, t[steps], y[:, steps], t[steps + 1], y[:, steps + 1])
+
+    def locate(k: int, comp: int) -> tuple[float, np.ndarray]:
+        """Root of state component ``comp`` inside step k, and the state there."""
+        f = coeffs[np.searchsorted(steps, k)]
+        ta, tb = float(t[k]), float(t[k + 1])
+
+        def state(s: float) -> np.ndarray:
+            return y[:, k] + np.dot(_basis((s - ta) / (tb - ta)), f)
+
+        root = brentq(lambda s: state(s)[comp], ta, tb, xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
+        return root, state(root)
+
+    zeros = [locate(k, 0) for k in zero_steps]
+    lam = np.array([z[0] for z in zeros])
+    zero_states = np.array([z[1] for z in zeros])
+
+    crits = [locate(k, 1) for k in crit_steps]
+    tau_all = np.array([c[0] for c in crits])
     log_crit = np.empty(m_max - 1)
     crit_states = np.empty((m_max - 1, 4))
     for j in range(m_max - 1):
@@ -284,7 +450,7 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
             )
         k = int(np.flatnonzero(mask)[0])
         log_crit[j] = tau_all[k]
-        crit_states[j] = tau_states_all[k]
+        crit_states[j] = crits[k][1]
 
     vals = np.abs(crit_states[:, 0])
     if np.any(vals >= 1.0) or np.any(np.diff(vals) >= 0.0):
@@ -293,19 +459,24 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
             f"(p={p}, alpha={alpha}): {vals}"
         )
 
+    # keep the trajectory up to the last zero, as a terminal event would
+    last = int(zero_steps[-1])
+    nodes = np.column_stack([np.vstack([t, y])[:, : last + 1],
+                             np.concatenate([[lam[-1]], zero_states[-1]])])
     return WholePlaneSolution(
         p=float(p),
         alpha=float(alpha),
         m_max=int(m_max),
         tol=tol,
-        t=res.t,
-        u=res.y[0].copy(),
-        ut=res.y[1].copy(),
-        log_zeros=lam.copy(),
-        zero_states=zero_states.copy(),
+        t=nodes[0],
+        u=nodes[1],
+        ut=nodes[2],
+        log_zeros=lam,
+        zero_states=zero_states,
         log_crit=log_crit,
         crit_states=crit_states,
-        _dense=res.sol,
+        _energy=nodes[3:],
+        _step_end=np.concatenate([[t[last + 1]], y[:, last + 1]]),
     )
 
 
@@ -321,32 +492,30 @@ def prefetch_solutions(
     """Solve a batch of (p, alpha, m_max) jobs, concurrently when possible.
 
     Results land in the memo cache used by :func:`solve_whole_plane`, in a
-    deterministic order keyed by the inputs; if a process pool cannot be
-    created the batch falls back to sequential solving.
+    deterministic order keyed by the inputs.  Errors raised by a solve
+    propagate unchanged.  Only when a process pool cannot be created or
+    breaks does the batch fall back to sequential solving; each fallback
+    is logged at DEBUG on the ``nodal`` logger.
     """
     tol = _resolve_tol(tol)
-    keys = []
-    for p, alpha, m_max in params:
-        key = (float(p), float(alpha), int(m_max), tol)
-        if key not in _CACHE:
-            keys.append(key)
-    keys = sorted(set(keys))
+    keys = sorted({_solve_key(p, alpha, m_max, tol) for p, alpha, m_max in params}
+                  - _CACHE.keys())
     if not keys:
         return
     if workers is None:
         workers = min(len(keys), os.cpu_count() or 1)
     if workers > 1:
         try:
-            from concurrent.futures import ProcessPoolExecutor
-
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for key, sol in pool.map(_solve_job, keys):
                     _cache_put(key, sol)
             return
-        except Exception:
-            pass  # no usable pool in this environment; fall through
+        except (OSError, NotImplementedError, BrokenProcessPool) as exc:
+            _LOG.debug("prefetch_solutions: process pool unavailable (%s: %s); "
+                       "solving %d jobs sequentially", type(exc).__name__, exc, len(keys))
     for key in keys:
-        _cache_put(key, _solve_impl(*key))
+        if key not in _CACHE:
+            _cache_put(key, _solve_impl(*key))
 
 
 @dataclass(frozen=True)

@@ -232,3 +232,22 @@ def test_unwritable_output_is_validation_error(tmp_path, capsys):
     blocked = tmp_path / "dir"
     blocked.mkdir()
     assert run(["constants", "--m", "2", "--out", str(blocked)]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--p", "inf"), ("--p", "nan"), ("--alpha", "nan"),
+                                         ("--alpha", "inf")])
+def test_solve_non_finite_exit_code(capsys, flag, value):
+    argv = ["solve", "--p", "50", "--alpha", "0", "--m", "2", "--bc", "plane"]
+    argv[argv.index(flag) + 1] = value
+    assert run(argv) == 1
+    _, err = _capture(capsys)
+    assert "nodal: error:" in err
+
+
+def test_step_limit_exit_code(capsys, monkeypatch):
+    from nodal import radial_ode
+
+    monkeypatch.setattr(radial_ode, "_MAX_STEPS", 50)
+    assert run(["solve", "--p", "78.5", "--m", "2", "--bc", "plane"]) == 2
+    _, err = _capture(capsys)
+    assert "numerical failure" in err and "nsteps" in err

@@ -1,7 +1,11 @@
 """Tests for the whole-plane solver and its Dirichlet/Neumann rescalings."""
 
+import gc
+import logging
 import math
 import pickle
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -278,3 +282,153 @@ def test_default_tolerance_env(monkeypatch):
     monkeypatch.setenv("NODAL_TOL", "2.0")
     with pytest.raises(ValueError):
         ro.default_tolerance()
+
+
+# (p, alpha, m) -> (log_zeros, log_crit), recorded with the earlier
+# solve_ivp-based solver at the default tolerance 1e-10
+_SEED_EVENTS = {
+    (50.0, 0.0, 3): (
+        [12.233809504360432, 22.890925452741122, 28.726149995141917],
+        [18.556396507416835, 26.11426001578743],
+    ),
+    (400.0, 1.0, 4): (
+        [66.12352505484262, 119.95058271111867, 149.46715321982043, 169.90453816740649],
+        [98.20345582346842, 136.30327542667837, 160.45491801267985],
+    ),
+    (1e4, 0.0, 3): (
+        [2497.1839721008128, 4500.154524628954, 5598.756635032944],
+        [3691.7122147834543, 5109.061347780021],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_SEED_EVENTS))
+def test_events_match_frozen_reference(key):
+    zeros, crit = (np.array(v) for v in _SEED_EVENTS[key])
+    w = ro.solve_whole_plane(*key, tol=1e-10)
+    if key[0] <= 400.0:
+        assert np.max(np.abs(w.log_zeros - zeros)) <= 1e-10
+        assert np.max(np.abs(w.log_crit - crit)) <= 1e-10
+    else:
+        assert np.all(np.abs(w.log_zeros - zeros) <= 1e-11 * np.abs(zeros))
+        assert np.all(np.abs(w.log_crit - crit) <= 1e-11 * np.abs(crit))
+
+
+def test_dense_output_reproduces_nodes():
+    w = ro.solve_whole_plane(120.0, 1.0, 3)
+    state = w.eval_state(w.t)
+    assert state.shape == (4, len(w.t))
+    assert np.max(np.abs(state[0] - w.u)) <= 1e-12 * np.max(np.abs(w.u))
+    assert np.max(np.abs(state[1] - w.ut)) <= 1e-12 * np.max(np.abs(w.ut))
+    # scalar calls take their own path and must agree with the array path
+    mid = np.concatenate([[w.t_start - 2.0], 0.5 * (w.t[1:] + w.t[:-1])])
+    by_point = np.column_stack([w.eval_state(float(x)) for x in mid])
+    assert w.eval_state(float(mid[1])).shape == (4,)
+    by_array = w.eval_state(mid)
+    scale = np.max(np.abs(by_array), axis=1, keepdims=True)
+    assert np.all(np.abs(by_point - by_array) <= 1e-14 * scale)
+    # the trajectory ends at the last zero, like a terminal event
+    assert w.t_end == w.log_zeros[-1]
+    with pytest.raises(ValueError):
+        w.eval_state(w.t_end + 1e-6)
+
+
+@pytest.mark.parametrize("t, u", [
+    (1.0, -0.4),        # ordinary point
+    (2.0, 1e-301),      # |u| < 1e-300: the nonlinearity underflows to zero
+    (60.0, 0.9),        # both exponents clamped at _EXP_CAP
+    (-400.0, 0.5),      # both exponents below -700
+    (-319.65, -0.3),    # ex above -700, ex + ln|u| below it
+])
+def test_rhs_scalar_and_array_agree(t, u):
+    p, q = 50.0, 2.0
+    y = np.array([u, 0.3, 1.5, 2.5])
+    scalar = np.array(ro._make_rhs(p, q)(t, y))
+    array = ro._rhs_array(p, q, np.array([t, t]), np.column_stack([y, y]))
+    assert array.shape == (4, 2)
+    for col in array.T:
+        np.testing.assert_allclose(col, scalar, rtol=1e-14, atol=0.0)
+        assert np.array_equal(col == 0.0, scalar == 0.0)
+
+
+def test_solution_pickle_is_small_and_dense_free():
+    w = ro.solve_whole_plane(200.0, 0.0, 3)
+    grid = np.linspace(w.t_start - 1.0, w.t_end, 257)
+    before = pickle.dumps(w)
+    assert len(before) < 32 * 1024
+    values = w.eval_state(grid)
+    after = pickle.dumps(w)
+    assert len(after) < 32 * 1024
+    for blob in (before, after):
+        clone = pickle.loads(blob)
+        assert np.array_equal(clone.eval_state(grid), values)
+        assert np.array_equal(clone.log_zeros, w.log_zeros)
+
+
+@pytest.mark.parametrize("p, alpha", [
+    (math.nan, 0.0), (math.inf, 0.0), (50.0, math.nan), (50.0, math.inf),
+    (50.0, -math.inf),
+])
+def test_non_finite_inputs_rejected(p, alpha):
+    with pytest.raises(ValueError, match="finite"):
+        ro.solve_whole_plane(p, alpha, 2)
+    with pytest.raises(ValueError, match="finite"):
+        ro.prefetch_solutions([(60.0, 0.0, 2), (p, alpha, 2)])
+
+
+def test_step_limit_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(ro, "_MAX_STEPS", 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ro.SolverError, match="larger nsteps is needed"):
+            ro.solve_whole_plane(77.5, 0.0, 2)
+
+
+def test_prefetch_propagates_worker_errors(monkeypatch, tmp_path):
+    log = tmp_path / "calls.txt"
+
+    def failing_solve(p, alpha, m_max, tol):
+        with open(log, "a") as fh:
+            fh.write(f"{p}\n")
+        raise ro.SolverError(f"injected failure at p={p}")
+
+    monkeypatch.setattr(ro, "_solve_impl", failing_solve)
+    params = [(91.5, 0.0, 2), (92.5, 0.0, 2), (93.5, 0.0, 2)]
+    with pytest.raises(ro.SolverError, match="injected failure"):
+        ro.prefetch_solutions(params, workers=2)
+    # each key solved once in the pool, with no sequential re-solve
+    assert sorted(log.read_text().split()) == ["91.5", "92.5", "93.5"]
+    log.unlink()
+    with pytest.raises(ro.SolverError, match="injected failure at p=91.5"):
+        ro.prefetch_solutions(params, workers=1)
+    assert log.read_text().split() == ["91.5"]
+
+
+def test_prefetch_falls_back_when_pool_unavailable(monkeypatch, caplog):
+    def no_pool(*args, **kwargs):
+        raise NotImplementedError("no process support")
+
+    monkeypatch.setattr(ro, "ProcessPoolExecutor", no_pool)
+    params = [(94.5, 0.0, 1), (95.5, 0.0, 1)]
+    with caplog.at_level(logging.DEBUG, logger="nodal"):
+        ro.prefetch_solutions(params, workers=2)
+    assert "NotImplementedError: no process support" in caplog.text
+    for p, alpha, m in params:
+        assert (p, alpha, m, ro.default_tolerance()) in ro._CACHE
+
+
+def test_repeated_solves_release_their_steps():
+    # the integrator wrapper keeps every callback it is handed; a solve must
+    # not leave its recorded steps behind with it
+    ro._solve_impl(70.0, 0.0, 3, 1e-10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20):
+            ro._solve_impl(70.5 + i, 0.0, 3, 1e-10)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 20 * 10_000
