@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .constants import theta_sequence
+from .constants import _check_alpha, _theta_prefix
+from .constants import theta_sequence  # noqa: F401  perfbench/layertrace.py wraps this binding
 
 __all__ = [
     "BubbleSpec",
@@ -55,6 +56,14 @@ class BubbleSpec:
     sigma_i_alpha: float
 
     @property
+    def concentration_radius(self) -> float:
+        """Radius that sets the bubble's scale: ``sigma_i_alpha`` for i >= 1,
+        ``beta_0^(2/(alpha+2))`` for the first bubble."""
+        if self.i >= 1:
+            return self.sigma_i_alpha
+        return self.beta_i ** (2.0 / (self.alpha + 2.0))
+
+    @property
     def log_beta(self) -> float:
         th = self.theta_i
         if self.i == 0:
@@ -79,9 +88,8 @@ def bubble_spec(i: int, alpha: float = 0.0) -> BubbleSpec:
     """Construct the :class:`BubbleSpec` for region index ``i``."""
     if i < 0:
         raise ValueError("bubble_spec: i must be >= 0")
-    if alpha < 0:
-        raise ValueError("bubble_spec: alpha must be >= 0")
-    th = float(theta_sequence(i).theta[i])
+    _check_alpha("bubble_spec", alpha)
+    th = float(_theta_prefix(i)[-1])
     if i == 0:
         beta = 2.0 * math.sqrt(2.0)
         sigma = 0.0
@@ -177,8 +185,7 @@ def bubble_mass(spec: BubbleSpec) -> float:
     Equals ``8*pi*theta_i/(alpha+2)`` analytically; the quadrature value is
     returned so callers can check the residual.
     """
-    split = spec.sigma_i_alpha if spec.i >= 1 else spec.beta_i ** (2.0 / (spec.alpha + 2.0))
-    inner, outer = _integrate_weighted(spec, 1.0 + spec.alpha, split)
+    inner, outer = _integrate_weighted(spec, 1.0 + spec.alpha, spec.concentration_radius)
     return 2.0 * math.pi * (inner + outer)
 
 

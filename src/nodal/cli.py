@@ -187,6 +187,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.bc == "neumann" and args.m < 2:
+        raise ValueError("solve: Neumann solutions are nodal, m must be >= 2")
     w = solve_whole_plane(args.p, args.alpha, args.m, args.tol)
     if args.bc == "plane":
         sol_dict = w.to_dict(samples=args.samples)
@@ -233,11 +235,9 @@ def _cmd_verify(args) -> int:
 def _cmd_bubble(args) -> int:
     spec = bubble_spec(args.i, args.alpha)
     if args.rmin is None:
-        args.rmin = (spec.sigma_i_alpha / 100.0 if spec.i >= 1
-                     else spec.beta_i ** (2.0 / (args.alpha + 2.0)) / 100.0)
+        args.rmin = spec.concentration_radius / 100.0
     if args.rmax is None:
-        args.rmax = (10.0 * spec.sigma_i_alpha if spec.i >= 1
-                     else 10.0 * spec.beta_i ** (2.0 / (args.alpha + 2.0)))
+        args.rmax = 10.0 * spec.concentration_radius
     if not 0.0 <= args.rmin < args.rmax:
         raise ValueError("bubble: need 0 <= rmin < rmax")
     grid = np.linspace(args.rmin, args.rmax, args.n)
@@ -326,12 +326,8 @@ def _cmd_sweep(args) -> int:
         for p in cfg["p"]
     )
     for bc, m, alpha, p in combos:
-        if m < 1 or (bc == "neumann" and m < 2):
+        if bc == "neumann" and m < 2:
             raise ValueError(f"sweep: m={m} invalid for bc={bc}")
-        if not p > 1.0:
-            raise ValueError(f"sweep: p={p} must be > 1")
-        if alpha < 0.0:
-            raise ValueError(f"sweep: alpha={alpha} must be >= 0")
     prefetch_solutions(
         sorted({(p, alpha, m) for bc, m, alpha, p in combos}),
         tol, workers=args.workers,
@@ -423,21 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args) -> None:
-    if getattr(args, "command", None) == "solve":
-        if not args.p > 1.0:
-            raise ValueError("solve: p must be > 1")
-        if args.alpha < 0.0:
-            raise ValueError("solve: alpha must be >= 0")
-        if args.m < 1:
-            raise ValueError("solve: m must be >= 1")
-        if args.bc == "neumann" and args.m < 2:
-            raise ValueError("solve: Neumann solutions are nodal, m must be >= 2")
-    if getattr(args, "command", None) == "verify":
-        if args.bc == "neumann" and args.m < 2:
-            raise ValueError("verify: Neumann solutions are nodal, m must be >= 2")
-
-
 def run(argv: list[str]) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
     parser = _build_parser()
@@ -446,7 +427,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        _validate(args)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"nodal: error: {exc}", file=sys.stderr)

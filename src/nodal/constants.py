@@ -11,14 +11,23 @@ produced by a Lambert-W iteration.  The entries of a
 
 for the Dirichlet solution with ``m`` nodal regions in the unit disc.
 Neumann and whole-plane variants are algebraic transforms of the same
-table.  An independent reformulation of the sequence (``a_seq``) and a
-closed product formula for ``M[0]`` serve as internal oracles.
+table.
+
+The Lambert recursion runs in one place, the generator ``_thetas``; every
+caller reads theta from it.  The closed product formula for ``M[0]``
+is one running product, the generator ``_m0_values``, behind
+:func:`m0_product_formula`, :func:`m0_sequence`, :func:`m0_over_sqrt_m`
+and :func:`m0_bounds_suite`.  Two independent routes remain as internal
+oracles: the ``a_seq`` recursion of :func:`theta_sequence`, and the
+prefix sums of :func:`constant_table`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -63,9 +72,31 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_alpha(where: str, alpha: float) -> None:
+    """Reject a weight exponent that is negative, NaN or infinite."""
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"{where}: alpha must be finite and >= 0 (got {alpha!r})")
+
+
 def _theta_step(theta_prev: float) -> float:
     y = 2.0 / (2.0 + theta_prev)
     return 2.0 / lambert_w0(y * math.exp(-y)) + 2.0
+
+
+def _thetas() -> Iterator[float]:
+    """theta_0 = 2, theta_1, theta_2, ...: the one place the recursion runs.
+
+    Each term is computed only when it is requested.
+    """
+    th = 2.0
+    while True:
+        yield th
+        th = _theta_step(th)
+
+
+def _theta_prefix(k_max: int) -> np.ndarray:
+    """``theta_0 .. theta_k_max`` as an array."""
+    return np.fromiter(islice(_thetas(), k_max + 1), float, k_max + 1)
 
 
 def _a_step(a_prev: float) -> float:
@@ -103,10 +134,7 @@ def theta_sequence(k_max: int) -> ThetaTable:
     """Compute ``theta_0 .. theta_k_max`` together with the a_seq oracle."""
     if k_max < 0:
         raise ValueError("theta_sequence: k_max must be >= 0")
-    theta = np.empty(k_max + 1)
-    theta[0] = 2.0
-    for k in range(1, k_max + 1):
-        theta[k] = _theta_step(theta[k - 1])
+    theta = _theta_prefix(k_max)
     a_seq = np.empty(k_max + 1)
     a_seq[0] = math.nan
     if k_max >= 1:
@@ -185,9 +213,8 @@ def constant_table(m: int, alpha: float = 0.0) -> ConstantTable:
     """Build the full R/S/M/D table for ``m`` nodal regions."""
     if m < 1:
         raise ValueError("constant_table: m must be >= 1")
-    if alpha < 0:
-        raise ValueError("constant_table: alpha must be >= 0")
-    theta = theta_sequence(m).theta
+    _check_alpha("constant_table", alpha)
+    theta = _theta_prefix(m)
     ln_mb, ln_db, prefix = _base_logs(theta, m)
 
     R = np.full(m, math.nan)
@@ -206,6 +233,19 @@ def constant_table(m: int, alpha: float = 0.0) -> ConstantTable:
     return ConstantTable(m=m, alpha=float(alpha), R=R, S=S, M=M, D=D)
 
 
+def _m0_values() -> Iterator[float]:
+    """Product-formula values ``constant_table(m+1).M[0]`` for m = 1, 2, ...
+
+    Value m is ``(theta_m - 2)/4 * exp(2/(2+theta_m))`` times the running
+    product of ``(theta_k - 2)/(theta_k + 2)`` over k = 1..m-1, kept as a
+    sum of logs.
+    """
+    logsum = 0.0
+    for th in islice(_thetas(), 1, None):
+        yield (th - 2.0) / 4.0 * math.exp(2.0 / (2.0 + th) + logsum)
+        logsum += math.log((th - 2.0) / (th + 2.0))
+
+
 def m0_product_formula(m: int) -> float:
     """Closed product form of ``constant_table(m+1).M[0]`` (internal oracle).
 
@@ -216,11 +256,7 @@ def m0_product_formula(m: int) -> float:
         raise ValueError("m0_product_formula: m must be >= 0")
     if m == 0:
         return SQRT_E
-    theta = theta_sequence(m).theta
-    logsum = 0.0
-    for k in range(1, m):
-        logsum += math.log((theta[k] - 2.0) / (theta[k] + 2.0))
-    return (theta[m] - 2.0) / 4.0 * math.exp(2.0 / (2.0 + theta[m]) + logsum)
+    return next(islice(_m0_values(), m - 1, None))
 
 
 def m0_sequence(m_max: int) -> np.ndarray:
@@ -230,17 +266,9 @@ def m0_sequence(m_max: int) -> np.ndarray:
     """
     if m_max < 1:
         raise ValueError("m0_sequence: m_max must be >= 1")
-    theta = theta_sequence(m_max).theta
     out = np.empty(m_max)
     out[0] = SQRT_E
-    logsum = 0.0
-    for i in range(2, m_max + 1):
-        # product formula at m = i - 1
-        if i >= 3:
-            logsum += math.log((theta[i - 2] - 2.0) / (theta[i - 2] + 2.0))
-        out[i - 1] = (theta[i - 1] - 2.0) / 4.0 * math.exp(
-            2.0 / (2.0 + theta[i - 1]) + logsum
-        )
+    out[1:] = np.fromiter(_m0_values(), float, m_max - 1)
     return out
 
 
@@ -253,14 +281,7 @@ def m0_over_sqrt_m(m: int) -> float:
     """
     if m < 1:
         raise ValueError("m0_over_sqrt_m: m must be >= 1")
-    th = 2.0
-    logsum = 0.0
-    for k in range(1, m + 1):
-        th = _theta_step(th)
-        if k <= m - 1:
-            logsum += math.log((th - 2.0) / (th + 2.0))
-    m0 = (th - 2.0) / 4.0 * math.exp(2.0 / (2.0 + th) + logsum)
-    return m0 / math.sqrt(m)
+    return m0_product_formula(m) / math.sqrt(m)
 
 
 @dataclass(frozen=True)
@@ -340,8 +361,7 @@ def whole_plane_limits(m: int, alpha: float = 0.0) -> WholePlaneLimits:
     """Limits of the zero/critical data of the whole-plane solution."""
     if m < 1:
         raise ValueError("whole_plane_limits: m must be >= 1")
-    if alpha < 0:
-        raise ValueError("whole_plane_limits: alpha must be >= 0")
+    _check_alpha("whole_plane_limits", alpha)
     q = alpha + 2.0
     tab_m = constant_table(m)
     tab_m1 = constant_table(m + 1)
@@ -361,9 +381,8 @@ def energy_limit(m: int, alpha: float, bc: str) -> float:
         raise ValueError(f"energy_limit: unknown boundary condition {bc!r}")
     if m < 1 or (bc == "neumann" and m < 2):
         raise ValueError(f"energy_limit: m={m} invalid for bc={bc}")
-    if alpha < 0:
-        raise ValueError("energy_limit: alpha must be >= 0")
-    th = theta_sequence(m).theta[m - 1]
+    _check_alpha("energy_limit", alpha)
+    th = _theta_prefix(m - 1)[-1]
     if bc == "dirichlet":
         m_last = math.exp(2.0 / (2.0 + th))
         return (alpha + 2.0) / 8.0 * m_last**2 * (th + 2.0) ** 2
@@ -374,9 +393,8 @@ def gamma_alpha_m(alpha: float, m: int) -> float:
     """Signed strength of the logarithmic limit profile of ``p*u``."""
     if m < 1:
         raise ValueError("gamma_alpha_m: m must be >= 1")
-    if alpha < 0:
-        raise ValueError("gamma_alpha_m: alpha must be >= 0")
-    th = theta_sequence(m).theta[m - 1]
+    _check_alpha("gamma_alpha_m", alpha)
+    th = _theta_prefix(m - 1)[-1]
     sign = 1.0 if m % 2 == 1 else -1.0
     return sign * (alpha + 2.0) / 2.0 * math.exp(2.0 / (2.0 + th)) * (th + 2.0)
 
@@ -465,14 +483,8 @@ def m0_bounds_suite(m_max: int) -> list[BoundsReport]:
     """:func:`m0_bounds_check` for m = 1..m_max with a running product."""
     if m_max < 1:
         raise ValueError("m0_bounds_suite: m_max must be >= 1")
-    theta = theta_sequence(m_max + 1).theta
-    reports = []
-    logsum = 0.0
-    for m in range(1, m_max + 1):
-        value = (theta[m] - 2.0) / 4.0 * math.exp(2.0 / (2.0 + theta[m]) + logsum)
-        reports.append(m0_bounds_check(m, value))
-        logsum += math.log((theta[m] - 2.0) / (theta[m] + 2.0))
-    return reports
+    return [m0_bounds_check(m, value)
+            for m, value in zip(range(1, m_max + 1), _m0_values())]
 
 
 def sup_norm_bounds(m: int, table: ConstantTable | None = None) -> list[BoundsReport]:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import DOP853, ode, quad
 from scipy.optimize import brentq
 
-from .constants import m0_product_formula
+from .constants import _check_alpha, m0_product_formula
 
 __all__ = [
     "SolverError",
@@ -608,32 +608,38 @@ class RadialSolution:
         return out
 
 
-def dirichlet_solution(w: WholePlaneSolution, m: int) -> RadialSolution:
-    """Dirichlet solution with m nodal regions: w rescaled at its m-th zero."""
-    if not 1 <= m <= w.m_max:
-        raise ValueError(f"dirichlet_solution: m={m} out of range 1..{w.m_max}")
-    L = float(w.log_zeros[m - 1])
+def _rescaled(w: WholePlaneSolution, bc: str, m: int, n_zeros: int,
+              L: float, state: np.ndarray) -> RadialSolution:
+    """w rescaled so that log-radius ``L`` becomes the unit circle.
+
+    ``state`` is w's augmented state (u, u_t, energies) at ``L``; the
+    first ``n_zeros`` zeros and the first m-1 critical points are kept.
+    """
     kappa = (w.alpha + 2.0) / (w.p - 1.0)
     amp = math.exp(kappa * L)
-    crit_values = np.concatenate([[amp], amp * w.crit_states[: m - 1, 0]])
-    deriv = w.p * amp * np.abs(w.zero_states[:m, 1])
-    eg, ep = w.zero_states[m - 1, 2], w.zero_states[m - 1, 3]
     pref = w.p * math.exp(2.0 * kappa * L)
     return RadialSolution(
-        bc="dirichlet",
+        bc=bc,
         m=m,
         p=w.p,
         alpha=w.alpha,
         log_scale=L,
-        log_zeros=w.log_zeros[:m] - L,
+        log_zeros=w.log_zeros[:n_zeros] - L,
         log_crit=w.log_crit[: m - 1] - L,
-        crit_values=crit_values,
-        deriv_at_zeros=deriv,
-        boundary_derivative=float(amp * w.zero_states[m - 1, 1]),
-        energy_grad=float(pref * eg),
-        energy_pot=float(pref * ep),
+        crit_values=np.concatenate([[amp], amp * w.crit_states[: m - 1, 0]]),
+        deriv_at_zeros=w.p * amp * np.abs(w.zero_states[:n_zeros, 1]),
+        boundary_derivative=float(amp * state[1]),
+        energy_grad=float(pref * state[2]),
+        energy_pot=float(pref * state[3]),
         plane=w,
     )
+
+
+def dirichlet_solution(w: WholePlaneSolution, m: int) -> RadialSolution:
+    """Dirichlet solution with m nodal regions: w rescaled at its m-th zero."""
+    if not 1 <= m <= w.m_max:
+        raise ValueError(f"dirichlet_solution: m={m} out of range 1..{w.m_max}")
+    return _rescaled(w, "dirichlet", m, m, float(w.log_zeros[m - 1]), w.zero_states[m - 1])
 
 
 def neumann_solution(w: WholePlaneSolution, m: int) -> RadialSolution:
@@ -646,28 +652,7 @@ def neumann_solution(w: WholePlaneSolution, m: int) -> RadialSolution:
         raise ValueError("neumann_solution: m must be >= 2 (solutions are nodal)")
     if m > w.m_max:
         raise ValueError(f"neumann_solution: m={m} out of range 2..{w.m_max}")
-    L = float(w.log_crit[m - 2])
-    kappa = (w.alpha + 2.0) / (w.p - 1.0)
-    amp = math.exp(kappa * L)
-    crit_values = np.concatenate([[amp], amp * w.crit_states[: m - 1, 0]])
-    deriv = w.p * amp * np.abs(w.zero_states[: m - 1, 1])
-    eg, ep = w.crit_states[m - 2, 2], w.crit_states[m - 2, 3]
-    pref = w.p * math.exp(2.0 * kappa * L)
-    return RadialSolution(
-        bc="neumann",
-        m=m,
-        p=w.p,
-        alpha=w.alpha,
-        log_scale=L,
-        log_zeros=w.log_zeros[: m - 1] - L,
-        log_crit=np.concatenate([w.log_crit[: m - 2] - L, [0.0]]),
-        crit_values=crit_values,
-        deriv_at_zeros=deriv,
-        boundary_derivative=float(amp * w.crit_states[m - 2, 1]),
-        energy_grad=float(pref * eg),
-        energy_pot=float(pref * ep),
-        plane=w,
-    )
+    return _rescaled(w, "neumann", m, m - 1, float(w.log_crit[m - 2]), w.crit_states[m - 2])
 
 
 def energies(sol: RadialSolution) -> tuple[float, float]:
@@ -740,8 +725,7 @@ def henon_crosscheck(
     """
     if w0.alpha != 0.0:
         raise ValueError("henon_crosscheck: base solution must have alpha = 0")
-    if alpha < 0.0:
-        raise ValueError("henon_crosscheck: alpha must be >= 0")
+    _check_alpha("henon_crosscheck", alpha)
     wa = solve_whole_plane(w0.p, alpha, w0.m_max, tol if tol is not None else w0.tol)
     shift = math.log((alpha + 2.0) / 2.0)
     scale = 2.0 / (alpha + 2.0)
@@ -786,7 +770,6 @@ def rescaled_profile(sol: RadialSolution, i: int, r_grid: np.ndarray) -> Rescale
     if not 0 <= i <= sol.m - 1:
         raise ValueError(f"rescaled_profile: i={i} out of range 0..{sol.m - 1}")
     p, q = sol.p, sol.alpha + 2.0
-    kappa = q / (sol.p - 1.0)
     ln_u_crit = math.log(abs(sol.crit_values[i]))
     log_eps = (2.0 / q) * math.log(q / 2.0) - (math.log(p) + (p - 1.0) * ln_u_crit) / q
 

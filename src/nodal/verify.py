@@ -296,11 +296,8 @@ def bubble_convergence_check(
     """
     spec = bubble_spec(i, sol.alpha)
     if compact_interval is None:
-        if i >= 1:
-            lo, hi = spec.sigma_i_alpha / 2.0, 4.0 * spec.sigma_i_alpha
-        else:
-            scale0 = spec.beta_i ** (2.0 / (sol.alpha + 2.0))
-            lo, hi = scale0 / 4.0, 4.0 * scale0
+        radius = spec.concentration_radius
+        lo, hi = radius / (2.0 if i >= 1 else 4.0), 4.0 * radius
     else:
         lo, hi = compact_interval
     if not 0.0 < lo < hi:

@@ -244,6 +244,14 @@ def test_solve_non_finite_exit_code(capsys, flag, value):
     assert "nodal: error:" in err
 
 
+@pytest.mark.parametrize("argv", [["bubble", "--i", "1", "--alpha", "inf"],
+                                  ["constants", "--m", "3", "--alpha", "nan"]])
+def test_non_finite_alpha_exit_code(capsys, argv):
+    assert run(argv) == 1
+    _, err = _capture(capsys)
+    assert "alpha must be finite" in err
+
+
 def test_step_limit_exit_code(capsys, monkeypatch):
     from nodal import radial_ode
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from nodal import bubbles as bb
 from nodal import constants as cn
+from nodal import radial_ode as rd
 
 SQRT_E = math.exp(0.5)
 
@@ -126,6 +128,17 @@ def test_m0_over_sqrt_m_consistency():
     val = cn.m0_over_sqrt_m(300)
     direct = cn.constant_table(301).M[0] / math.sqrt(300)
     assert abs(val - direct) <= 1e-12 * direct
+
+
+def test_m0_routes_share_one_generator():
+    # every M0 route reads the same running product, so they agree bit for bit
+    n = 60
+    seq = cn.m0_sequence(n)
+    suite = cn.m0_bounds_suite(n)
+    for m in range(1, n + 1):
+        assert seq[m - 1] == cn.m0_product_formula(m - 1)
+        assert suite[m - 1].value == cn.m0_product_formula(m)
+        assert cn.m0_over_sqrt_m(m) == cn.m0_product_formula(m) / math.sqrt(m)
 
 
 def test_ordering_chain():
@@ -302,6 +315,21 @@ def test_validation_errors():
         cn.morse_conjecture(0)
     with pytest.raises(ValueError):
         cn.bubble_morse(-1)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda a: cn.constant_table(3, a), id="constant_table"),
+    pytest.param(lambda a: cn.whole_plane_limits(3, a), id="whole_plane_limits"),
+    pytest.param(lambda a: cn.energy_limit(3, a, "dirichlet"), id="energy_limit"),
+    pytest.param(lambda a: cn.gamma_alpha_m(a, 3), id="gamma_alpha_m"),
+    pytest.param(lambda a: bb.bubble_spec(1, a), id="bubble_spec"),
+    pytest.param(lambda a: rd.henon_crosscheck(rd.solve_whole_plane(50.0, 0.0, 2), a),
+                 id="henon_crosscheck"),
+])
+def test_alpha_must_be_finite_and_nonnegative(call, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        call(alpha)
 
 
 def test_tables_are_frozen():
