@@ -238,8 +238,9 @@ def _cmd_bubble(args) -> int:
         args.rmin = spec.concentration_radius / 100.0
     if args.rmax is None:
         args.rmax = 10.0 * spec.concentration_radius
-    if not 0.0 <= args.rmin < args.rmax:
-        raise ValueError("bubble: need 0 <= rmin < rmax")
+    if not (math.isfinite(args.rmin) and math.isfinite(args.rmax)
+            and 0.0 <= args.rmin < args.rmax):
+        raise ValueError("bubble: need finite 0 <= rmin < rmax")
     grid = np.linspace(args.rmin, args.rmax, args.n)
     samples = profile_samples(spec, grid)
 
@@ -314,12 +315,13 @@ def _parse_sweep_config(path: str) -> dict:
 
 def _cmd_sweep(args) -> int:
     cfg = _parse_sweep_config(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tol = cfg.get("tol")
     for bc in cfg["bc"]:
         if bc not in ("dirichlet", "neumann", "plane"):
             raise ValueError(f"sweep: unknown bc {bc!r}")
+    for m in cfg["m"]:
+        if not m.is_integer():
+            raise ValueError(f"sweep: m={m!r} is not an integer")
     combos = sorted(
         (bc, int(m), float(alpha), float(p))
         for bc in cfg["bc"] for m in cfg["m"] for alpha in cfg["alpha"]
@@ -332,6 +334,8 @@ def _cmd_sweep(args) -> int:
         sorted({(p, alpha, m) for bc, m, alpha, p in combos}),
         tol, workers=args.workers,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     index = []
     for bc, m, alpha, p in combos:
         w = solve_whole_plane(p, alpha, m, tol)

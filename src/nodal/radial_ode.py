@@ -11,19 +11,19 @@ Dirichlet, Neumann and Henon solutions in the unit disc are exact
 rescalings of the same whole-plane trajectory, so one integration serves
 every boundary condition at fixed (p, alpha).
 
-Energies and the flux integral are carried as augmented quadrature
-states.  The integration runs in SciPy's compiled DOP853, which hands
-back only the accepted steps.  Zeros and critical points are located by
-root finding on DOP853's 7th-order interpolant of the one step that
-brackets each sign change; the interpolant is rebuilt after the fact
-from the step's endpoints and re-evaluated stages (Hairer, Norsett &
-Wanner, *Solving ODEs I*, II.6).  The same rebuild over every step gives
-the dense output, which is built on first use and never pickled.
+The energies are carried as augmented quadrature states.  The
+integration runs in SciPy's compiled DOP853, which hands back only the
+accepted steps.  Zeros and critical points are located by root finding
+on DOP853's 7th-order interpolant of the one step that brackets each
+sign change; the interpolant is rebuilt after the fact from the step's
+endpoints and re-evaluated stages (Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.6).  The same rebuild over every step gives the dense
+output: built on first use, never pickled, evaluated on one vectorized
+path, on which the shell flux integral is a tanh-sinh quadrature.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 import os
@@ -33,9 +33,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853, ode, quad
+from scipy.integrate import DOP853, ode, tanhsinh
 from scipy.optimize import brentq
 
+from .bubbles import QuadratureError
 from .constants import _check_alpha, m0_product_formula
 
 __all__ = [
@@ -143,7 +144,8 @@ class WholePlaneSolution:
 
     def eval_state(self, t) -> np.ndarray:
         """Dense-output state at log-radius t (series continuation below
-        the start point); accepts scalars or arrays, returns shape (4, ...)."""
+        the start point, down to t = -inf); t of any shape, returns shape
+        (4, *t.shape)."""
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr > self.t_end + 1e-9):
             raise ValueError("eval_state: log-radius beyond the integrated range")
@@ -151,17 +153,14 @@ class WholePlaneSolution:
             nodes = np.vstack([self.t, self.u, self.ut, self._energy])
             nodes[:, -1] = self._step_end
             object.__setattr__(self, "_dense", _DenseOutput(self.p, self.alpha, nodes))
-        if t_arr.ndim == 0:
-            if t_arr < self.t_start:
-                return _series_state(self.p, self.alpha, t_arr)
-            return self._dense.at(float(t_arr))
-        out = np.empty((4, t_arr.size))
-        early = t_arr < self.t_start
+        flat = t_arr.ravel()
+        out = np.empty((4, flat.size))
+        early = flat < self.t_start
         if np.any(~early):
-            out[:, ~early] = self._dense(t_arr[~early])
+            out[:, ~early] = self._dense(flat[~early])
         if np.any(early):
-            out[:, early] = _series_state(self.p, self.alpha, t_arr[early])
-        return out
+            out[:, early] = _series_state(self.p, self.alpha, flat[early])
+        return out.reshape(4, *t_arr.shape)
 
     def eval_u(self, t):
         return self.eval_state(t)[0]
@@ -283,7 +282,6 @@ class _DenseOutput:
         # nodes: (t, u, u_t, Eg, Ep) rows at the accepted steps
         t, y = nodes[0], nodes[1:]
         self.t = t
-        self.knots = t.tolist()
         self.y0 = y[:, :-1].T
         self.f = _step_coeffs(p, 2.0 + alpha, t[:-1], y[:, :-1], t[1:], y[:, 1:])
 
@@ -292,12 +290,6 @@ class _DenseOutput:
         k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
         x = ((t - self.t[k]) / (self.t[k + 1] - self.t[k]))[:, None, None]
         return (self.y0[k] + (np.concatenate(_basis(x), axis=2) @ self.f[k])[:, 0]).T
-
-    def at(self, t: float) -> np.ndarray:
-        """The state at one log-radius; a scalar path for quadrature loops."""
-        k = min(max(bisect.bisect_right(self.knots, t) - 1, 0), len(self.knots) - 2)
-        x = (t - self.knots[k]) / (self.knots[k + 1] - self.knots[k])
-        return self.y0[k] + np.dot(_basis(x), self.f[k])
 
 
 def _resolve_tol(tol: float | None) -> float:
@@ -310,13 +302,11 @@ def _resolve_tol(tol: float | None) -> float:
 
 def _solve_key(p: float, alpha: float, m_max: int, tol: float) -> tuple:
     """Validated memo key (p, alpha, m_max, tol) of one whole-plane solve."""
-    if not (math.isfinite(p) and math.isfinite(alpha)):
-        raise ValueError(
-            f"solve_whole_plane: p and alpha must be finite (p={p!r}, alpha={alpha!r})")
+    if not math.isfinite(p):
+        raise ValueError(f"solve_whole_plane: p must be finite (p={p!r})")
     if not p > 1.0:
         raise ValueError("solve_whole_plane: p must be > 1")
-    if alpha < 0.0:
-        raise ValueError("solve_whole_plane: alpha must be >= 0")
+    _check_alpha("solve_whole_plane", alpha)
     if m_max < 1:
         raise ValueError("solve_whole_plane: m_max must be >= 1")
     return (float(p), float(alpha), int(m_max), tol)
@@ -568,19 +558,15 @@ class RadialSolution:
         return math.exp(kappa * self.log_scale)
 
     def eval_u(self, r):
-        """u(r) for r in [0, 1], via the whole-plane dense output."""
+        """u(r) for r in [0, 1], via the whole-plane dense output (r = 0 is
+        t = -inf, where the series gives w = 1 exactly)."""
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr < 0.0) or np.any(r_arr > 1.0 + 1e-12):
             raise ValueError("eval_u: radii must lie in [0, 1]")
-        scalar = r_arr.ndim == 0
-        r_arr = np.atleast_1d(r_arr)
-        out = np.empty_like(r_arr)
-        at0 = r_arr == 0.0
-        out[at0] = self.crit_values[0]
-        if np.any(~at0):
-            t = self.log_scale + np.log(r_arr[~at0])
-            out[~at0] = self.amplitude_scale * self.plane.eval_u(t)
-        return float(out[0]) if scalar else out
+        with np.errstate(divide="ignore"):
+            t = self.log_scale + np.log(r_arr)
+        out = self.amplitude_scale * self.plane.eval_u(t)
+        return float(out) if r_arr.ndim == 0 else out
 
     def to_dict(self, samples: int = 0) -> dict:
         out = {
@@ -680,10 +666,13 @@ def pohozaev_residual(sol: RadialSolution) -> float:
 def flux_identity_residual(sol: RadialSolution, s: float, t: float) -> float:
     """Defect of ``u'(s)s - u'(t)t = int_s^t |u|^(p-1) u r^(1+alpha) dr``.
 
-    The right side is evaluated by independent adaptive quadrature on the
-    dense trajectory (in log-radius), so the residual measures how well
-    the computed trajectory satisfies the equation in integral form.
-    Reported relative to the derivative scale max(|u'(s)s|, |u'(t)t|).
+    The right side is evaluated by independent adaptive tanh-sinh
+    quadrature (Takahasi & Mori 1974) on the dense trajectory in
+    log-radius, split at the zeros and critical points inside the shell,
+    so the residual measures how well the computed trajectory satisfies
+    the equation in integral form.  Reported relative to the derivative
+    scale max(|u'(s)s|, |u'(t)t|).  Raises QuadratureError unless every
+    sub-interval converges.
     """
     if not 0.0 < s < t <= 1.0:
         raise ValueError("flux_identity_residual: need 0 < s < t <= 1")
@@ -691,23 +680,15 @@ def flux_identity_residual(sol: RadialSolution, s: float, t: float) -> float:
     plane = sol.plane
     ta = sol.log_scale + math.log(s)
     tb = sol.log_scale + math.log(t)
-
-    def integrand(tt: float) -> float:
-        u = float(plane.eval_u(tt))
-        au = abs(u)
-        if au < 1e-300:
-            return 0.0
-        ex = q * tt + p * math.log(au)
-        return math.copysign(math.exp(ex), u) if ex > -700.0 else 0.0
-
-    breaks = [x for x in np.concatenate([plane.log_zeros, plane.log_crit])
-              if ta < x < tb]
-    integral, _ = quad(
-        integrand, ta, tb, epsabs=1e-14, epsrel=1e-11, limit=800,
-        points=sorted(breaks) if breaks else None,
-    )
-    wt_a = float(plane.eval_ut(ta))
-    wt_b = float(plane.eval_ut(tb))
+    breaks = np.sort(np.concatenate([plane.log_zeros, plane.log_crit]))
+    edges = np.concatenate([[ta], breaks[(breaks > ta) & (breaks < tb)], [tb]])
+    res = tanhsinh(lambda tt: -_rhs_array(p, q, tt, plane.eval_state(tt))[1],
+                   edges[:-1], edges[1:], atol=1e-15, rtol=1e-12, minlevel=4)
+    if not np.all(res.success):
+        raise QuadratureError("flux quadrature did not converge",
+                              float(np.max(res.error[~res.success])))
+    integral = float(np.sum(res.integral))
+    wt_a, wt_b = plane.eval_ut(np.array([ta, tb])).tolist()
     scale = max(abs(wt_a), abs(wt_b), 1e-300)
     return abs(wt_a - wt_b - integral) / scale
 
@@ -792,10 +773,8 @@ def rescaled_profile(sol: RadialSolution, i: int, r_grid: np.ndarray) -> Rescale
     w_crit = abs(sol.crit_values[i]) / sol.amplitude_scale
     sign = 1.0 if i % 2 == 0 else -1.0
     t_abs = sol.log_scale + log_r_rel
-    w_vals = np.ones_like(r)  # r = 0 only occurs for i = 0, where w(0) = 1
-    pos = r > 0.0
-    if np.any(pos):
-        w_vals[pos] = sol.plane.eval_u(t_abs[pos])
+    # r = 0 only occurs for i = 0, at t = -inf, where w(0) = 1 exactly
+    w_vals = sol.plane.eval_u(t_abs)
     xi = p * (sign * w_vals - w_crit) / w_crit
     return RescaledProfile(
         i=i, log_eps=float(log_eps), samples=np.column_stack([r, xi])

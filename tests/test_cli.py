@@ -178,6 +178,7 @@ def test_bubble_json_checks(capsys):
 def test_bubble_validation(capsys):
     assert run(["bubble", "--i", "-1"]) == 1
     assert run(["bubble", "--i", "1", "--rmin", "5", "--rmax", "2"]) == 1
+    assert run(["bubble", "--i", "1", "--rmax", "inf"]) == 1
 
 
 def test_sweep(tmp_path, capsys):
@@ -211,12 +212,19 @@ def test_sweep_validation(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("p = 30\nm = 1\nalpha = 0\nbc = neumann\n", encoding="utf-8")
     assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
     cfg2 = tmp_path / "bad2.cfg"
     cfg2.write_text("p = 30\nm = 1\nbc = dirichlet\n", encoding="utf-8")
     assert run(["sweep", "--config", str(cfg2), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
     cfg3 = tmp_path / "bad3.cfg"
     cfg3.write_text("frobnicate\n", encoding="utf-8")
     assert run(["sweep", "--config", str(cfg3), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    cfg4 = tmp_path / "bad4.cfg"
+    cfg4.write_text("p = 30\nm = 2.5\nalpha = 0\nbc = dirichlet\n", encoding="utf-8")
+    assert run(["sweep", "--config", str(cfg4), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_out_file_written(tmp_path, capsys):

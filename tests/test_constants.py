@@ -326,6 +326,7 @@ def test_validation_errors():
     pytest.param(lambda a: bb.bubble_spec(1, a), id="bubble_spec"),
     pytest.param(lambda a: rd.henon_crosscheck(rd.solve_whole_plane(50.0, 0.0, 2), a),
                  id="henon_crosscheck"),
+    pytest.param(lambda a: rd.solve_whole_plane(50.0, a, 2), id="solve_whole_plane"),
 ])
 def test_alpha_must_be_finite_and_nonnegative(call, alpha):
     with pytest.raises(ValueError, match="alpha must be finite and >= 0"):

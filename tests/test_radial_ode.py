@@ -320,7 +320,7 @@ def test_dense_output_reproduces_nodes():
     assert state.shape == (4, len(w.t))
     assert np.max(np.abs(state[0] - w.u)) <= 1e-12 * np.max(np.abs(w.u))
     assert np.max(np.abs(state[1] - w.ut)) <= 1e-12 * np.max(np.abs(w.ut))
-    # scalar calls take their own path and must agree with the array path
+    # a scalar is a 0-d array on the same path and must agree point by point
     mid = np.concatenate([[w.t_start - 2.0], 0.5 * (w.t[1:] + w.t[:-1])])
     by_point = np.column_stack([w.eval_state(float(x)) for x in mid])
     assert w.eval_state(float(mid[1])).shape == (4,)
@@ -331,6 +331,36 @@ def test_dense_output_reproduces_nodes():
     assert w.t_end == w.log_zeros[-1]
     with pytest.raises(ValueError):
         w.eval_state(w.t_end + 1e-6)
+
+
+def test_eval_state_any_shape():
+    w = ro.solve_whole_plane(120.0, 1.0, 3)
+    grid = np.linspace(w.t_start - 3.0, w.t_end, 60).reshape(4, 3, 5)
+    state = w.eval_state(grid)
+    assert state.shape == (4, 4, 3, 5)
+    assert np.array_equal(state.reshape(4, -1), w.eval_state(grid.ravel()))
+
+
+def test_eval_u_at_origin_is_series_limit():
+    w = ro.solve_whole_plane(120.0, 1.0, 3)
+    for d in (ro.dirichlet_solution(w, 3), ro.neumann_solution(w, 3)):
+        u0 = d.eval_u(0.0)
+        assert type(u0) is float
+        assert u0 == d.crit_values[0]
+        assert d.eval_u(np.array([0.0, 0.5]))[0] == d.crit_values[0]
+        prof = ro.rescaled_profile(d, 0, np.array([0.0, 1.0]))
+        assert prof.samples[0, 1] == 0.0
+
+
+def test_flux_quadrature_failure_raises(monkeypatch):
+    w = ro.solve_whole_plane(150.517, 1.0, 4)
+    d = ro.dirichlet_solution(w, 4)
+    s_last = float(np.exp(d.log_crit[-1]))
+    assert ro.flux_identity_residual(d, s_last, 1.0) <= 1e-10
+    real = ro.tanhsinh
+    monkeypatch.setattr(ro, "tanhsinh", lambda *a, **k: real(*a, **{**k, "maxlevel": 4}))
+    with pytest.raises(bb.QuadratureError, match="flux quadrature did not converge"):
+        ro.flux_identity_residual(d, s_last, 1.0)
 
 
 @pytest.mark.parametrize("t, u", [
