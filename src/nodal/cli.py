@@ -115,10 +115,10 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_constants(args) -> int:
     m, alpha = args.m, args.alpha
     table = cn.constant_table(m, alpha)
-    ntab = cn.neumann_constants(m) if m >= 2 else None
+    ntab = cn.neumann_constants(m, table) if m >= 2 else None
     th = cn.theta_sequence(m)
     m0s = cn.m0_sequence(m)
-    plane = [cn.whole_plane_limits(i, alpha) for i in range(1, m + 1)]
+    plane = cn.whole_plane_limits_suite(m, alpha)
 
     if args.format == "json":
         payload = {
@@ -172,8 +172,7 @@ def _cmd_constants(args) -> int:
 def _cmd_bounds(args) -> int:
     reports = cn.theta_bounds_suite(args.kmax)
     reports += cn.m0_bounds_suite(args.mmax)
-    for m in range(1, args.mmax + 1):
-        reports += cn.sup_norm_bounds(m)
+    reports += cn.sup_norm_bounds_suite(args.mmax)
     if args.format == "json":
         _emit(_to_json([r.to_dict() for r in reports]), args.out)
         return 0

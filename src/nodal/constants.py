@@ -20,6 +20,15 @@ is one running product, the generator ``_m0_values``, behind
 and :func:`m0_bounds_suite`.  Two independent routes remain as internal
 oracles: the ``a_seq`` recursion of :func:`theta_sequence`, and the
 prefix sums of :func:`constant_table`.
+
+Every table entry is read from one ``(ln_Mb, ln_Db, prefix)`` triple,
+``_TableLogs``, whose k-th terms depend only on theta_0..theta_{k-1}; a
+triple built for ``m_max`` serves the tables of every m <= m_max bit for
+bit.  So each suite (:func:`whole_plane_limits_suite`,
+:func:`sup_norm_bounds_suite`, like :func:`theta_bounds_suite` and
+:func:`m0_bounds_suite`) computes theta once per call, and ``nodal
+constants --m M`` costs O(M) Lambert evaluations and ``nodal bounds``
+O(kmax + mmax), not O(M^2).  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ __all__ = [
     "m0_over_sqrt_m",
     "neumann_constants",
     "whole_plane_limits",
+    "whole_plane_limits_suite",
     "energy_limit",
     "gamma_alpha_m",
     "theta_bounds_check",
@@ -56,6 +66,7 @@ __all__ = [
     "m0_bounds_check",
     "m0_bounds_suite",
     "sup_norm_bounds",
+    "sup_norm_bounds_suite",
     "morse_conjecture",
     "bubble_morse",
 ]
@@ -135,13 +146,13 @@ def theta_sequence(k_max: int) -> ThetaTable:
     if k_max < 0:
         raise ValueError("theta_sequence: k_max must be >= 0")
     theta = _theta_prefix(k_max)
-    a_seq = np.empty(k_max + 1)
-    a_seq[0] = math.nan
+    # a Python list keeps the Halley loop in lambert_w0 on plain floats
+    a_seq = [math.nan]
     if k_max >= 1:
-        a_seq[1] = lambert_w0(0.5 * math.exp(-0.5))
-        for k in range(1, k_max):
-            a_seq[k + 1] = _a_step(a_seq[k])
-    return ThetaTable(k_max=k_max, theta=theta, a_seq=a_seq)
+        a_seq.append(lambert_w0(0.5 * math.exp(-0.5)))
+        for _ in range(1, k_max):
+            a_seq.append(_a_step(a_seq[-1]))
+    return ThetaTable(k_max=k_max, theta=theta, a_seq=np.array(a_seq))
 
 
 @dataclass(frozen=True)
@@ -182,31 +193,50 @@ class ConstantTable:
         }
 
 
-def _base_logs(theta: np.ndarray, m: int):
-    """Per-step building blocks, as logs.
+class _TableLogs:
+    """Every entry of ``constant_table(m)`` for m = 1..m_max, as logs.
 
-    Returns (ln_Mb, ln_Db, prefix) where ``ln_Mb[k] = 2/(2+theta_{k-1})``
-    for k = 1..m, ``ln_Db[k] = ln_Mb[k] + ln(theta_{k-1}+2)`` and
-    ``prefix[k]`` is the cumulative log of the one-step radius ratios up
-    to k (``prefix[1] = 0``).  All products in the table are formed from
-    differences of ``prefix``, which keeps full relative precision for
-    large m.
+    Holds ``ln_mb[k] = 2/(2+theta_{k-1})`` and
+    ``ln_db[k] = ln_mb[k] + ln(theta_{k-1}+2)`` for k = 1..m_max, and
+    ``prefix[k]``, the cumulative log of the one-step radius ratios up to
+    k (``prefix[1] = 0``).  Term k depends only on theta_0..theta_{k-1}
+    and ``prefix`` is summed in the same order whatever ``m_max`` is, so
+    an entry for m < m_max is the same double as in a table built for m.
+    All products are formed from differences of ``prefix``, which keeps
+    full relative precision for large m.  ``R``, ``S``, ``M`` and ``D``
+    return ``constant_table(m).X[i]`` for the index ranges documented on
+    :class:`ConstantTable`.
     """
-    ln_mb = np.zeros(m + 1)
-    ln_db = np.zeros(m + 1)
-    for k in range(1, m + 1):
-        ln_mb[k] = 2.0 / (2.0 + theta[k - 1])
-        ln_db[k] = ln_mb[k] + math.log(theta[k - 1] + 2.0)
-    prefix = np.zeros(m + 1)
-    for k in range(2, m + 1):
-        step = (
-            ln_mb[k - 1]
-            + math.log(theta[k - 2] + 2.0)
-            - ln_mb[k]
-            - math.log(theta[k - 1] - 2.0)
-        )
-        prefix[k] = prefix[k - 1] + step
-    return ln_mb, ln_db, prefix
+
+    def __init__(self, m_max: int) -> None:
+        theta = list(islice(_thetas(), m_max))
+        ln_mb = [0.0] + [2.0 / (2.0 + th) for th in theta]
+        ln_db = [0.0] + [ln_mb[k] + math.log(theta[k - 1] + 2.0)
+                         for k in range(1, m_max + 1)]
+        prefix = [0.0, 0.0]
+        for k in range(2, m_max + 1):
+            step = (
+                ln_mb[k - 1]
+                + math.log(theta[k - 2] + 2.0)
+                - ln_mb[k]
+                - math.log(theta[k - 1] - 2.0)
+            )
+            prefix.append(prefix[k - 1] + step)
+        self.ln_mb, self.ln_db, self.prefix = ln_mb, ln_db, prefix
+
+    def R(self, m: int, i: int) -> float:
+        return math.exp(self.prefix[m] - self.prefix[i])
+
+    def S(self, m: int, i: int) -> float:
+        if i == 0:
+            return 0.0
+        return math.exp(-self.ln_mb[i + 1] + self.prefix[m] - self.prefix[i + 1])
+
+    def M(self, m: int, i: int) -> float:
+        return math.exp(self.ln_mb[i + 1] + self.prefix[i + 1] - self.prefix[m])
+
+    def D(self, m: int, i: int) -> float:
+        return math.exp(self.ln_db[i] + self.prefix[i] - self.prefix[m])
 
 
 def constant_table(m: int, alpha: float = 0.0) -> ConstantTable:
@@ -214,22 +244,13 @@ def constant_table(m: int, alpha: float = 0.0) -> ConstantTable:
     if m < 1:
         raise ValueError("constant_table: m must be >= 1")
     _check_alpha("constant_table", alpha)
-    theta = _theta_prefix(m)
-    ln_mb, ln_db, prefix = _base_logs(theta, m)
-
+    logs = _TableLogs(m)
     R = np.full(m, math.nan)
-    S = np.full(m, math.nan)
-    M = np.full(m, math.nan)
+    R[1:] = [logs.R(m, i) for i in range(1, m)]
+    S = np.array([logs.S(m, i) for i in range(m)])
+    M = np.array([logs.M(m, i) for i in range(m)])
     D = np.full(m + 1, math.nan)
-    for i in range(1, m):
-        R[i] = math.exp(prefix[m] - prefix[i])
-    for i in range(1, m + 1):
-        D[i] = math.exp(ln_db[i] + prefix[i] - prefix[m])
-    S[0] = 0.0
-    M[0] = math.exp(ln_mb[1] + prefix[1] - prefix[m])
-    for i in range(1, m):
-        S[i] = math.exp(-ln_mb[i + 1] + prefix[m] - prefix[i + 1])
-        M[i] = math.exp(ln_mb[i + 1] + prefix[i + 1] - prefix[m])
+    D[1:] = [logs.D(m, i) for i in range(1, m + 1)]
     return ConstantTable(m=m, alpha=float(alpha), R=R, S=S, M=M, D=D)
 
 
@@ -315,11 +336,15 @@ class NeumannConstantTable:
         }
 
 
-def neumann_constants(m: int) -> NeumannConstantTable:
-    """Neumann variant of :func:`constant_table` (requires m >= 2)."""
+def neumann_constants(m: int, table: ConstantTable | None = None) -> NeumannConstantTable:
+    """Neumann variant of :func:`constant_table` (requires m >= 2).
+
+    ``table``, when it is the Dirichlet table for this m, is rescaled
+    instead of building a new one.
+    """
     if m < 2:
         raise ValueError("neumann_constants: m must be >= 2")
-    tab = constant_table(m)
+    tab = table if table is not None and table.m == m else constant_table(m)
     s_last = tab.S[m - 1]
     Rbar = tab.R / s_last
     Dbar = s_last * tab.D[:m]  # interior zeros only: valid slots 1..m-1
@@ -357,22 +382,39 @@ class WholePlaneLimits:
         }
 
 
-def whole_plane_limits(m: int, alpha: float = 0.0) -> WholePlaneLimits:
-    """Limits of the zero/critical data of the whole-plane solution."""
-    if m < 1:
-        raise ValueError("whole_plane_limits: m must be >= 1")
-    _check_alpha("whole_plane_limits", alpha)
+def _plane_limits(logs: _TableLogs, m: int, alpha: float) -> WholePlaneLimits:
+    """Whole-plane limits at zero m from a triple built for m_max >= m+1."""
     q = alpha + 2.0
-    tab_m = constant_table(m)
-    tab_m1 = constant_table(m + 1)
+    m0 = logs.M(m, 0)
+    m0_next = logs.M(m + 1, 0)
     return WholePlaneLimits(
         m=m,
         alpha=float(alpha),
-        rho_lim=tab_m.M[0] ** (2.0 / q),
-        drv_lim=q / 2.0 * tab_m.D[m] / tab_m.M[0],
-        delta_lim=(tab_m1.M[0] * tab_m1.S[m]) ** (2.0 / q),
-        val_lim=tab_m1.M[m] / tab_m1.M[0],
+        rho_lim=m0 ** (2.0 / q),
+        drv_lim=q / 2.0 * logs.D(m, m) / m0,
+        delta_lim=(m0_next * logs.S(m + 1, m)) ** (2.0 / q),
+        val_lim=logs.M(m + 1, m) / m0_next,
     )
+
+
+def whole_plane_limits(m: int, alpha: float = 0.0) -> WholePlaneLimits:
+    """Limits of the zero/critical data of the whole-plane solution.
+
+    They are read from the Dirichlet tables for m and m+1 regions.
+    """
+    if m < 1:
+        raise ValueError("whole_plane_limits: m must be >= 1")
+    _check_alpha("whole_plane_limits", alpha)
+    return _plane_limits(_TableLogs(m + 1), m, alpha)
+
+
+def whole_plane_limits_suite(m_max: int, alpha: float = 0.0) -> list[WholePlaneLimits]:
+    """:func:`whole_plane_limits` for m = 1..m_max off one theta prefix."""
+    if m_max < 1:
+        raise ValueError("whole_plane_limits_suite: m_max must be >= 1")
+    _check_alpha("whole_plane_limits_suite", alpha)
+    logs = _TableLogs(m_max + 1)
+    return [_plane_limits(logs, m, alpha) for m in range(1, m_max + 1)]
 
 
 def energy_limit(m: int, alpha: float, bc: str) -> float:
@@ -487,19 +529,9 @@ def m0_bounds_suite(m_max: int) -> list[BoundsReport]:
             for m, value in zip(range(1, m_max + 1), _m0_values())]
 
 
-def sup_norm_bounds(m: int, table: ConstantTable | None = None) -> list[BoundsReport]:
-    """Sup-norm growth sandwiches for the Dirichlet and Neumann solutions.
-
-    Emits ``dirichlet_sup`` (m >= 1), and for m >= 2 also ``neumann_sup``
-    and the ``s_last`` sandwich
-    ``exp(-1/(4m-2)) < S[m-1] < exp(-1/(4m-1))`` it relies on.
-    """
-    if m < 1:
-        raise ValueError("sup_norm_bounds: m must be >= 1")
-    if table is None or table.m != m:
-        table = constant_table(m)
+def _sup_norm_reports(m: int, m0: float, s_last: float) -> list[BoundsReport]:
+    """The sandwiches of :func:`sup_norm_bounds` for M[0] and S[m-1] of table m."""
     lo, up = _m0_gamma_bounds(m - 1)
-    m0 = table.M[0]
     out = [
         BoundsReport(
             check="dirichlet_sup",
@@ -511,7 +543,6 @@ def sup_norm_bounds(m: int, table: ConstantTable | None = None) -> list[BoundsRe
         )
     ]
     if m >= 2:
-        s_last = table.S[m - 1]
         s_lo = math.exp(-1.0 / (4.0 * m - 2.0))
         s_up = math.exp(-1.0 / (4.0 * m - 1.0))
         out.append(
@@ -538,6 +569,29 @@ def sup_norm_bounds(m: int, table: ConstantTable | None = None) -> list[BoundsRe
             )
         )
     return out
+
+
+def sup_norm_bounds(m: int, table: ConstantTable | None = None) -> list[BoundsReport]:
+    """Sup-norm growth sandwiches for the Dirichlet and Neumann solutions.
+
+    Emits ``dirichlet_sup`` (m >= 1), and for m >= 2 also ``neumann_sup``
+    and the ``s_last`` sandwich
+    ``exp(-1/(4m-2)) < S[m-1] < exp(-1/(4m-1))`` it relies on.
+    """
+    if m < 1:
+        raise ValueError("sup_norm_bounds: m must be >= 1")
+    if table is None or table.m != m:
+        table = constant_table(m)
+    return _sup_norm_reports(m, table.M[0], table.S[m - 1])
+
+
+def sup_norm_bounds_suite(m_max: int) -> list[BoundsReport]:
+    """:func:`sup_norm_bounds` for m = 1..m_max, concatenated, off one theta prefix."""
+    if m_max < 1:
+        raise ValueError("sup_norm_bounds_suite: m_max must be >= 1")
+    logs = _TableLogs(m_max)
+    return [report for m in range(1, m_max + 1)
+            for report in _sup_norm_reports(m, logs.M(m, 0), logs.S(m, m - 1))]
 
 
 def morse_conjecture(m: int) -> int:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nodal import constants as cn
 from nodal.cli import run
 
 
@@ -75,6 +76,30 @@ def test_bounds_json(capsys):
     assert checks == {"theta_growth", "m0_growth", "dirichlet_sup", "s_last",
                       "neumann_sup"}
     assert all(d["holds"] for d in doc)
+
+
+def _lambert_calls(monkeypatch, argv):
+    calls = [0]
+    lambert = cn.lambert_w0
+
+    def counting(x):
+        calls[0] += 1
+        return lambert(x)
+
+    monkeypatch.setattr(cn, "lambert_w0", counting)
+    assert run(argv) == 0
+    return calls[0]
+
+
+def test_constants_lambert_calls_linear_in_m(capsys, monkeypatch):
+    m = 200
+    assert _lambert_calls(monkeypatch, ["constants", "--m", str(m)]) <= 8 * (m + 1)
+
+
+def test_bounds_lambert_calls_linear(capsys, monkeypatch):
+    kmax, mmax = 500, 200
+    argv = ["bounds", "--kmax", str(kmax), "--mmax", str(mmax)]
+    assert _lambert_calls(monkeypatch, argv) <= 3 * kmax + 3 * mmax
 
 
 def test_solve_validation_exit_codes(capsys):

@@ -205,6 +205,89 @@ def test_whole_plane_limits():
     assert abs(w2.val_lim - t3.M[2] / t3.M[0]) < 1e-14
 
 
+def _loop_table(m):
+    """constant_table(m) as first written: numpy prefix sums, one table per m (reference)."""
+    theta = cn.theta_sequence(m).theta
+    ln_mb = np.zeros(m + 1)
+    ln_db = np.zeros(m + 1)
+    for k in range(1, m + 1):
+        ln_mb[k] = 2.0 / (2.0 + theta[k - 1])
+        ln_db[k] = ln_mb[k] + math.log(theta[k - 1] + 2.0)
+    prefix = np.zeros(m + 1)
+    for k in range(2, m + 1):
+        step = (ln_mb[k - 1] + math.log(theta[k - 2] + 2.0)
+                - ln_mb[k] - math.log(theta[k - 1] - 2.0))
+        prefix[k] = prefix[k - 1] + step
+    R = np.full(m, math.nan)
+    S = np.full(m, math.nan)
+    M = np.full(m, math.nan)
+    D = np.full(m + 1, math.nan)
+    for i in range(1, m):
+        R[i] = math.exp(prefix[m] - prefix[i])
+    for i in range(1, m + 1):
+        D[i] = math.exp(ln_db[i] + prefix[i] - prefix[m])
+    S[0] = 0.0
+    M[0] = math.exp(ln_mb[1] + prefix[1] - prefix[m])
+    for i in range(1, m):
+        S[i] = math.exp(-ln_mb[i + 1] + prefix[m] - prefix[i + 1])
+        M[i] = math.exp(ln_mb[i + 1] + prefix[i + 1] - prefix[m])
+    return R, S, M, D
+
+
+def _two_table_plane_limits(m, alpha):
+    """whole_plane_limits as first written, from the full tables for m and m+1 (reference)."""
+    q = alpha + 2.0
+    tab_m = cn.constant_table(m)
+    tab_m1 = cn.constant_table(m + 1)
+    return cn.WholePlaneLimits(
+        m=m,
+        alpha=float(alpha),
+        rho_lim=tab_m.M[0] ** (2.0 / q),
+        drv_lim=q / 2.0 * tab_m.D[m] / tab_m.M[0],
+        delta_lim=(tab_m1.M[0] * tab_m1.S[m]) ** (2.0 / q),
+        val_lim=tab_m1.M[m] / tab_m1.M[0],
+    )
+
+
+def test_table_equals_loop_reference():
+    for m in range(1, 121):
+        tab = cn.constant_table(m)
+        for got, want in zip((tab.R, tab.S, tab.M, tab.D), _loop_table(m)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+def test_whole_plane_limits_equal_two_table_reference(alpha):
+    for m in range(1, 121):
+        assert cn.whole_plane_limits(m, alpha) == _two_table_plane_limits(m, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("m_max", [1, 2, 120])
+def test_whole_plane_suite_equals_single_calls(m_max, alpha):
+    suite = cn.whole_plane_limits_suite(m_max, alpha)
+    assert len(suite) == m_max
+    for m in range(1, m_max + 1):
+        assert suite[m - 1] == cn.whole_plane_limits(m, alpha)
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 150])
+def test_sup_norm_suite_equals_concatenation(m_max):
+    singles = [r for m in range(1, m_max + 1) for r in cn.sup_norm_bounds(m)]
+    assert cn.sup_norm_bounds_suite(m_max) == singles
+
+
+def test_neumann_from_given_table():
+    for m in (2, 3, 40):
+        direct = cn.neumann_constants(m)
+        for table in (cn.constant_table(m, 1.0), cn.constant_table(m + 1)):
+            given = cn.neumann_constants(m, table)
+            assert given.m == m
+            for name in ("Rbar", "Dbar", "Sbar", "Mbar"):
+                assert np.array_equal(getattr(given, name), getattr(direct, name),
+                                      equal_nan=True)
+
+
 def test_energy_limits():
     assert abs(cn.energy_limit(1, 0.0, "dirichlet") - 4.0 * math.e) < 1e-12
     th1 = cn.theta_sequence(1).theta[1]
@@ -312,6 +395,10 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         cn.m0_bounds_check(0)
     with pytest.raises(ValueError):
+        cn.whole_plane_limits_suite(0)
+    with pytest.raises(ValueError):
+        cn.sup_norm_bounds_suite(0)
+    with pytest.raises(ValueError):
         cn.morse_conjecture(0)
     with pytest.raises(ValueError):
         cn.bubble_morse(-1)
@@ -321,6 +408,7 @@ def test_validation_errors():
 @pytest.mark.parametrize("call", [
     pytest.param(lambda a: cn.constant_table(3, a), id="constant_table"),
     pytest.param(lambda a: cn.whole_plane_limits(3, a), id="whole_plane_limits"),
+    pytest.param(lambda a: cn.whole_plane_limits_suite(3, a), id="whole_plane_limits_suite"),
     pytest.param(lambda a: cn.energy_limit(3, a, "dirichlet"), id="energy_limit"),
     pytest.param(lambda a: cn.gamma_alpha_m(a, 3), id="gamma_alpha_m"),
     pytest.param(lambda a: bb.bubble_spec(1, a), id="bubble_spec"),
