@@ -122,28 +122,28 @@ def _profile_from_logr(spec: BubbleSpec, log_r) -> np.ndarray | float:
     )
 
 
-def bubble_profile(spec: BubbleSpec, r: float) -> float:
-    """Evaluate the bubble profile Z at radius r (log-space, overflow safe).
+def bubble_profile(spec: BubbleSpec, r):
+    """Evaluate the bubble profile Z at radii r (log-space, overflow safe).
 
-    ``r = 0`` returns 0 for the first bubble (its value at the origin) and
-    ``-inf`` for i >= 1, where the origin is a logarithmic singularity.
+    r of any shape: a scalar gives a ``float``, an array an array of the
+    same shape.  ``r = 0`` gives 0 for the first bubble (its value at the
+    origin) and ``-inf`` for i >= 1, where the origin is a logarithmic
+    singularity.
     """
-    if r < 0:
+    r_arr = np.asarray(r, dtype=float)
+    if np.any(r_arr < 0.0):
         raise ValueError("bubble_profile: r must be >= 0")
-    if r == 0.0:
-        return 0.0 if spec.i == 0 else -math.inf
-    return float(_profile_from_logr(spec, math.log(r)))
+    # r = 0 is log r = -inf, which may give nan (0 * inf for i = 0); masked below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = _profile_from_logr(spec, np.log(r_arr))
+    z = np.where(r_arr == 0.0, 0.0 if spec.i == 0 else -math.inf, z)
+    return float(z) if r_arr.ndim == 0 else z
 
 
 def profile_samples(spec: BubbleSpec, r_grid: np.ndarray) -> np.ndarray:
     """Vectorized profile sampling; returns an (n, 3) array (r, Z, exp(Z))."""
     r = np.asarray(r_grid, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("profile_samples: radii must be >= 0")
-    z = np.empty_like(r)
-    pos = r > 0
-    z[pos] = _profile_from_logr(spec, np.log(r[pos]))
-    z[~pos] = 0.0 if spec.i == 0 else -math.inf
+    z = bubble_profile(spec, r)
     return np.column_stack([r, z, np.exp(z)])
 
 
@@ -219,14 +219,11 @@ def bubble_pde_residual(spec: BubbleSpec, r_grid: np.ndarray, h: float = 1e-3) -
     if np.any(r <= 0):
         raise ValueError("bubble_pde_residual: grid must be bounded away from 0")
     q = spec.alpha + 2.0
-    worst = 0.0
-    for ri in r:
-        hi = h * ri
-        zm = bubble_profile(spec, ri - hi)
-        z0 = bubble_profile(spec, ri)
-        zp = bubble_profile(spec, ri + hi)
-        d2 = (zp - 2.0 * z0 + zm) / (hi * hi)
-        d1 = (zp - zm) / (2.0 * hi)
-        res = d2 + d1 / ri + (q / 2.0) ** 2 * ri**spec.alpha * math.exp(z0)
-        worst = max(worst, abs(res))
-    return worst
+    hr = h * r
+    zm = bubble_profile(spec, r - hr)
+    z0 = bubble_profile(spec, r)
+    zp = bubble_profile(spec, r + hr)
+    d2 = (zp - 2.0 * z0 + zm) / (hr * hr)
+    d1 = (zp - zm) / (2.0 * hr)
+    res = d2 + d1 / r + (q / 2.0) ** 2 * r**spec.alpha * np.exp(z0)
+    return float(np.max(np.abs(res), initial=0.0))

@@ -12,6 +12,7 @@ environment variable NODAL_TOL overrides the default solver tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -90,7 +91,10 @@ def _to_csv(header: list[str], rows: list[list]) -> str:
     for row in rows:
         cells = []
         for cell in row:
-            if cell is None:
+            # plain floats are most cells; the chain below gives the same text
+            if type(cell) is float:
+                cells.append("" if cell != cell else f"{cell:.17g}")
+            elif cell is None:
                 cells.append("")
             elif isinstance(cell, str):
                 cells.append(cell)
@@ -357,6 +361,7 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nodal",

@@ -13,13 +13,17 @@ every boundary condition at fixed (p, alpha).
 
 The energies are carried as augmented quadrature states.  The
 integration runs in SciPy's compiled DOP853, which hands back only the
-accepted steps.  Zeros and critical points are located by root finding
-on DOP853's 7th-order interpolant of the one step that brackets each
-sign change; the interpolant is rebuilt after the fact from the step's
-endpoints and re-evaluated stages (Hairer, Norsett & Wanner, *Solving
-ODEs I*, II.6).  The same rebuild over every step gives the dense
-output: built on first use, never pickled, evaluated on one vectorized
-path, on which the shell flux integral is a tanh-sinh quadrature.
+accepted steps.  Its two Python callbacks, the right-hand side and the
+step recorder, work on plain floats (``y.tolist()``): NumPy scalar
+arithmetic cost about 40% of each right-hand-side call (0.92 against
+0.54 us per call on a 2-vCPU VM), for the same doubles.  Zeros and
+critical points are located by root finding on DOP853's 7th-order
+interpolant of the one step that brackets each sign change; the
+interpolant is rebuilt after the fact from the step's endpoints and
+re-evaluated stages (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).
+The same rebuild over every step gives the dense output: built on first
+use, never pickled, evaluated on one vectorized path, on which the
+shell flux integral is a tanh-sinh quadrature.
 """
 
 from __future__ import annotations
@@ -200,21 +204,23 @@ def _series_state(p: float, alpha: float, t: np.ndarray) -> np.ndarray:
 
 
 def _make_rhs(p: float, q: float):
+    """DOP853's right-hand side on plain floats.  The branch clamps an
+    exponent at ``_EXP_CAP`` to the same double as ``min(ex, _EXP_CAP)``."""
     log = math.log
     exp = math.exp
     copysign = math.copysign
+    exp_cap = exp(_EXP_CAP)
 
-    def rhs(t: float, y) -> tuple:
-        u = y[0]
-        v = y[1]
+    def rhs(t: float, y: np.ndarray) -> tuple:
+        u, v, _, _ = y.tolist()
         au = abs(u)
         if au < 1e-300:
             return (v, 0.0, v * v, 0.0)
         lu = log(au)
         ex = q * t + p * lu
-        f = copysign(exp(min(ex, _EXP_CAP)), u) if ex > -700.0 else 0.0
+        f = copysign(exp(ex) if ex < _EXP_CAP else exp_cap, u) if ex > -700.0 else 0.0
         exg = ex + lu
-        g = exp(min(exg, _EXP_CAP)) if exg > -700.0 else 0.0
+        g = (exp(exg) if exg < _EXP_CAP else exp_cap) if exg > -700.0 else 0.0
         return (v, -f, v * v, g)
 
     return rhs
@@ -364,15 +370,19 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
     y0 = _series_state(p, alpha, np.array([t0]))[:, 0]
 
     ts: list[float] = []
-    ys: list[np.ndarray] = []
+    ys: list[list[float]] = []
     crossings = 0
 
     def record_step(t: float, y: np.ndarray) -> int:
         nonlocal crossings
-        if ys and _crosses(ys[-1][0], y[0]):
-            crossings += 1
+        state = y.tolist()
+        if ys:
+            # _crosses on plain floats
+            a, b = ys[-1][0], state[0]
+            if (a <= 0.0 and b >= 0.0) or (a >= 0.0 and b <= 0.0):
+                crossings += 1
         ts.append(t)
-        ys.append(y.copy())
+        ys.append(state)
         return -1 if crossings == m_max else 0
 
     solver = ode(_make_rhs(p, q)).set_integrator(

@@ -304,7 +304,7 @@ def bubble_convergence_check(
         raise ValueError("bubble_convergence_check: need 0 < lo < hi")
     grid = np.linspace(lo, hi, n_points)
     prof = rescaled_profile(sol, i, grid)
-    z = np.array([bubble_profile(spec, r) for r in grid])
+    z = bubble_profile(spec, grid)
     sup_err = float(np.max(np.abs(prof.samples[:, 1] - z)))
 
     log_eps = prof.log_eps

@@ -150,6 +150,30 @@ def test_profile_samples_shape():
     assert np.allclose(out[1:, 2], np.exp(out[1:, 1]))
 
 
+@pytest.mark.parametrize("i", [0, 1, 3, 40])
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_profile_array_call_equals_scalar_calls(i, alpha):
+    spec = bb.bubble_spec(i, alpha)
+    radius = spec.concentration_radius
+    grid = np.concatenate([[0.0], np.linspace(0.0, 4.0 * radius, 97),
+                           np.geomspace(1e-8, 1e8, 64) * radius])
+    vals = bb.bubble_profile(spec, grid)
+    assert isinstance(vals, np.ndarray) and vals.shape == grid.shape
+    scalars = [bb.bubble_profile(spec, float(r)) for r in grid]
+    assert all(type(z) is float for z in scalars)
+    scalars = np.array(scalars)
+    at_origin = grid == 0.0
+    assert np.all(vals[at_origin] == (0.0 if i == 0 else -math.inf))
+    assert np.array_equal(scalars[at_origin], vals[at_origin])
+    np.testing.assert_allclose(vals[~at_origin], scalars[~at_origin], rtol=1e-15, atol=0.0)
+    # any shape in, the same shape out
+    square = grid[: 16 * 10].reshape(16, 10)
+    assert np.array_equal(bb.bubble_profile(spec, square), vals[: 160].reshape(16, 10))
+    assert np.array_equal(bb.profile_samples(spec, grid)[:, 1], vals)
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        bb.bubble_profile(spec, np.array([1.0, -1e-300]))
+
+
 def test_large_index_no_overflow():
     # theta ~ 8i makes direct powers overflow; log-space evaluation must not
     spec = bb.bubble_spec(40, 0.0)

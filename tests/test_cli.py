@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from nodal import cli
 from nodal import constants as cn
 from nodal.cli import run
 
@@ -292,3 +294,48 @@ def test_step_limit_exit_code(capsys, monkeypatch):
     assert run(["solve", "--p", "78.5", "--m", "2", "--bc", "plane"]) == 2
     _, err = _capture(capsys)
     assert "numerical failure" in err and "nsteps" in err
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    outputs = []
+    for argv in (["bubble", "--i", "1"],
+                 ["bubble", "--i", "1", "--rmin", "0.1", "--rmax", "1"],
+                 ["bubble", "--i", "1"]):
+        assert run(argv) == 0
+        outputs.append(_capture(capsys))
+    assert outputs[0] == outputs[2]
+    assert outputs[0][0] != outputs[1][0]
+    assert outputs[1][0].split("\n")[1].startswith("0.10000000000000001,")
+
+
+def _csv_chain_oracle(header, rows):
+    """The CSV encoder before its float fast path: the byte oracle."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for cell in row:
+            if cell is None:
+                cells.append("")
+            elif isinstance(cell, str):
+                cells.append(cell)
+            elif isinstance(cell, (int, np.integer)):
+                cells.append(str(int(cell)))
+            else:
+                x = float(cell)
+                cells.append("" if math.isnan(x) else f"{x:.17g}")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_float_fast_path_matches_chain():
+    rows = [
+        [None, "abc", 7, np.int64(-3), True, False, np.float64(0.1), math.nan,
+         math.inf, -math.inf, 0.12345678901234567, -0.0, 0.0, 5e-324, 1.7976931348623157e308],
+        [np.float64(math.nan), np.float64(-math.inf), np.float32(0.1), np.bool_(True), 1e22,
+         -2.5, 3.0, np.int32(12), "", 100.0, 1 / 3, -1e-300, 2.0 ** 60, np.float64(-0.0), 7],
+    ]
+    rng = np.random.default_rng(11)
+    rows.append([float(x) for x in rng.normal(0.0, 1e3, 15) * 10.0 ** rng.integers(-300, 300, 15)])
+    header = [f"c{j}" for j in range(15)]
+    assert cli._to_csv(header, rows) == _csv_chain_oracle(header, rows)

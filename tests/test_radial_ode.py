@@ -381,6 +381,86 @@ def test_rhs_scalar_and_array_agree(t, u):
         assert np.array_equal(col == 0.0, scalar == 0.0)
 
 
+def _min_clamp_rhs(p, q):
+    """The right-hand side as it was written on NumPy scalars, with
+    ``min()`` clamps: the oracle for the plain-float ``_make_rhs``."""
+    log = math.log
+    exp = math.exp
+    copysign = math.copysign
+
+    def rhs(t, y):
+        u = y[0]
+        v = y[1]
+        au = abs(u)
+        if au < 1e-300:
+            return (v, 0.0, v * v, 0.0)
+        lu = log(au)
+        ex = q * t + p * lu
+        f = copysign(exp(min(ex, ro._EXP_CAP)), u) if ex > -700.0 else 0.0
+        exg = ex + lu
+        g = exp(min(exg, ro._EXP_CAP)) if exg > -700.0 else 0.0
+        return (v, -f, v * v, g)
+
+    return rhs
+
+
+def _t_hitting(p, q, u, target, with_lu):
+    """A t at which the RHS's exponent (``ex``, or ``ex + ln|u|`` when
+    ``with_lu``) evaluates to exactly ``target``; None if no double does."""
+    lu = math.log(abs(u))
+    t = (target - (p + with_lu) * lu) / q
+    for _ in range(64):
+        ex = q * t + p * lu
+        val = ex + lu if with_lu else ex
+        if val == target:
+            return t
+        t = math.nextafter(t, math.inf if val < target else -math.inf)
+    return None
+
+
+def _boundary_points(p, q):
+    """(t, u) on every branch edge of the RHS."""
+    pts = [
+        (100.0 / q, 1.0),             # ex == exg == _EXP_CAP
+        (-700.0 / q, -1.0),           # ex == exg == -700
+        (3.0, 1e-300),                # |u| == 1e-300 takes the log branch
+        (3.0, -1e-300),
+        (3.0, math.nextafter(1e-300, 0.0)),
+        (3.0, math.nan),
+        (-5.0, math.nan),
+    ]
+    for target in (ro._EXP_CAP, -700.0):
+        for with_lu in (False, True):
+            for u in [(-1.0) ** k * (0.05 + 0.037 * k) for k in range(80)]:
+                t = _t_hitting(p, q, u, target, with_lu)
+                if t is not None:
+                    pts.append((t, u))
+                    break
+            else:
+                raise AssertionError(f"no t hits {target} (with_lu={with_lu})")
+    return pts
+
+
+@pytest.mark.parametrize("p, alpha", [(1.5, 0.0), (50.0, 0.0), (400.0, 1.0), (1e4, 2.5)])
+def test_float_rhs_bitwise_equals_min_clamp_oracle(p, alpha):
+    q = 2.0 + alpha
+    rng = np.random.default_rng(int(p) + 7)
+    n = 2000
+    ts = rng.uniform(-400.0, 120.0, n)
+    us = np.exp(rng.uniform(-700.0, 2.0, n)) * rng.choice([-1.0, 1.0], n)
+    vs = rng.normal(0.0, 3.0, n)
+    points = [(float(t), float(u), float(v)) for t, u, v in zip(ts, us, vs)]
+    points += [(t, u, 0.7) for t, u in _boundary_points(p, q)]
+    new, ref = ro._make_rhs(p, q), _min_clamp_rhs(p, q)
+    for t, u, v in points:
+        # DOP853 hands the callback a float t and a float64 array y
+        y = np.array([u, v, 1.25, -2.5])
+        got, want = new(t, y), ref(t, y)
+        assert all(a == b for a, b in zip(got, want)), (t, u, got, want)
+        # bit for bit: the sign of zero matches too
+        assert [float(a).hex() for a in got] == [float(b).hex() for b in want]
+
+
 def test_solution_pickle_is_small_and_dense_free():
     w = ro.solve_whole_plane(200.0, 0.0, 3)
     grid = np.linspace(w.t_start - 1.0, w.t_end, 257)
