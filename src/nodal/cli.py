@@ -12,7 +12,6 @@ environment variable NODAL_TOL overrides the default solver tolerance.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import math
 import sys
@@ -91,18 +90,19 @@ def _to_csv(header: list[str], rows: list[list]) -> str:
     for row in rows:
         cells = []
         for cell in row:
-            # plain floats are most cells; the chain below gives the same text
-            if type(cell) is float:
-                cells.append("" if cell != cell else f"{cell:.17g}")
-            elif cell is None:
-                cells.append("")
-            elif isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                x = float(cell)
-                cells.append("" if math.isnan(x) else _fmt(x))
+            # plain floats are most cells, so they skip the type checks
+            if type(cell) is not float:
+                if cell is None:
+                    cells.append("")
+                    continue
+                if isinstance(cell, str):
+                    cells.append(cell)
+                    continue
+                if isinstance(cell, (int, np.integer)):
+                    cells.append(str(int(cell)))
+                    continue
+                cell = float(cell)
+            cells.append("" if cell != cell else f"{cell:.17g}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -361,7 +361,6 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nodal",

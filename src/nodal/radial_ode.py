@@ -356,8 +356,10 @@ def solve_whole_plane(
     return sol
 
 
-def _crosses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sign change from a to b, touching zero included (solve_ivp's rule)."""
+def _crosses(a, b):
+    """Sign change from a to b, touching zero included (solve_ivp's rule).
+
+    Elementwise on arrays; on plain floats it gives a ``bool``."""
     return ((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0))
 
 
@@ -376,11 +378,8 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
     def record_step(t: float, y: np.ndarray) -> int:
         nonlocal crossings
         state = y.tolist()
-        if ys:
-            # _crosses on plain floats
-            a, b = ys[-1][0], state[0]
-            if (a <= 0.0 and b >= 0.0) or (a >= 0.0 and b <= 0.0):
-                crossings += 1
+        if ys and _crosses(ys[-1][0], state[0]):
+            crossings += 1
         ts.append(t)
         ys.append(state)
         return -1 if crossings == m_max else 0
