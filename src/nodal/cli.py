@@ -192,6 +192,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_solve(args) -> int:
     if args.bc == "neumann" and args.m < 2:
         raise ValueError("solve: Neumann solutions are nodal, m must be >= 2")
+    if args.samples < 0:
+        raise ValueError(f"solve: --samples must be >= 0 (got {args.samples})")
     w = solve_whole_plane(args.p, args.alpha, args.m, args.tol)
     if args.bc == "plane":
         sol_dict = w.to_dict(samples=args.samples)
@@ -236,6 +238,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bubble(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"bubble: --n must be >= 1 (got {args.n})")
     spec = bubble_spec(args.i, args.alpha)
     if args.rmin is None:
         args.rmin = spec.concentration_radius / 100.0

@@ -154,6 +154,13 @@ def test_solve_csv_without_samples_rejected(capsys):
                 "--format", "csv"]) == 1
 
 
+def test_solve_negative_samples_rejected(capsys):
+    assert run(["solve", "--p", "40", "--m", "1", "--bc", "dirichlet",
+                "--samples", "-5", "--format", "json"]) == 1
+    out, err = _capture(capsys)
+    assert out == "" and "nodal: error: solve: --samples must be >= 0" in err
+
+
 def test_verify_csv(capsys):
     assert run(["verify", "--m", "1", "--alpha", "0", "--bc", "dirichlet",
                 "--p", "40,80"]) == 0
@@ -208,6 +215,13 @@ def test_bubble_validation(capsys):
     assert run(["bubble", "--i", "1", "--rmax", "inf"]) == 1
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_bubble_nonpositive_n_rejected(capsys, n):
+    assert run(["bubble", "--i", "1", "--n", n]) == 1
+    out, err = _capture(capsys)
+    assert out == "" and f"nodal: error: bubble: --n must be >= 1 (got {n})" in err
+
+
 def test_sweep(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -254,6 +268,17 @@ def test_sweep_validation(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_sweep_nonpositive_workers_rejected(tmp_path, capsys, workers):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("p = 30\nm = 2\nalpha = 0\nbc = dirichlet\n", encoding="utf-8")
+    out_dir = tmp_path / "o"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out_dir), "--workers", workers]) == 1
+    _, err = _capture(capsys)
+    assert f"nodal: error: prefetch_solutions: workers must be >= 1 (got {workers})" in err
+    assert not out_dir.exists()
+
+
 def test_out_file_written(tmp_path, capsys):
     target = tmp_path / "table.csv"
     assert run(["constants", "--m", "2", "--out", str(target)]) == 0
@@ -294,6 +319,13 @@ def test_step_limit_exit_code(capsys, monkeypatch):
     assert run(["solve", "--p", "78.5", "--m", "2", "--bc", "plane"]) == 2
     _, err = _capture(capsys)
     assert "numerical failure" in err and "nsteps" in err
+
+
+def test_disc_overflow_exit_code(capsys):
+    # u(0) = exp(372.7) on the unit disc at p = 1.03: a numerical failure, not a traceback
+    assert run(["solve", "--p", "1.03", "--alpha", "19.5", "--m", "8", "--bc", "dirichlet"]) == 2
+    out, err = _capture(capsys)
+    assert out == "" and "numerical failure" in err and "double range" in err
 
 
 def _csv_chain_oracle(header, rows):

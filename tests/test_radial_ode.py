@@ -461,6 +461,40 @@ def test_float_rhs_bitwise_equals_min_clamp_oracle(p, alpha):
         assert [float(a).hex() for a in got] == [float(b).hex() for b in want]
 
 
+def test_rhs_calls_per_stored_step(monkeypatch):
+    # DOP853 spends 12 RHS calls per accepted step and 11 per rejected trial;
+    # the stabilized step control keeps the pooled ratio near 13.1 (14.5 without)
+    calls = 0
+    real = ro._make_rhs
+
+    def counting_rhs(p, q):
+        rhs = real(p, q)
+
+        def counted(t, y):
+            nonlocal calls
+            calls += 1
+            return rhs(t, y)
+
+        return counted
+
+    monkeypatch.setattr(ro, "_make_rhs", counting_rhs)
+    nodes = 0
+    for key in [(50.0, 0.0, 3), (200.0, 1.0, 4), (1234.5, 1.0, 4), (1e4, 0.0, 3), (7.7, 2.5, 6)]:
+        nodes += len(ro._solve_impl(*key, 1e-10).t)
+    assert calls / nodes <= 13.5
+
+
+def test_disc_rescaling_overflow_is_solver_error():
+    w = ro.solve_whole_plane(1.03, 19.5, 8)
+    assert w.m_max == 8 and np.all(np.isfinite(w.log_zeros))
+    for rescale in (ro.dirichlet_solution, ro.neumann_solution):
+        with pytest.raises(ro.SolverError, match="leaves the double range"):
+            rescale(w, 8)
+    # the first zero's rescaling still fits: u(0) = exp(kappa ln rho_1) < 1e154
+    d = ro.dirichlet_solution(w, 1)
+    assert math.isfinite(d.energy_pot) and ro.pohozaev_residual(d) <= 1e-7
+
+
 def test_solution_pickle_is_small_and_dense_free():
     w = ro.solve_whole_plane(200.0, 0.0, 3)
     grid = np.linspace(w.t_start - 1.0, w.t_end, 257)
@@ -512,6 +546,13 @@ def test_prefetch_propagates_worker_errors(monkeypatch, tmp_path):
     with pytest.raises(ro.SolverError, match="injected failure at p=91.5"):
         ro.prefetch_solutions(params, workers=1)
     assert log.read_text().split() == ["91.5"]
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_prefetch_rejects_nonpositive_workers(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        ro.prefetch_solutions([(96.5, 0.0, 1)], workers=workers)
+    assert (96.5, 0.0, 1, ro.default_tolerance()) not in ro._CACHE
 
 
 def test_prefetch_falls_back_when_pool_unavailable(monkeypatch, caplog):
