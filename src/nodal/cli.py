@@ -15,6 +15,7 @@ import argparse
 import io
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -85,25 +86,37 @@ def _to_json(obj) -> str:
     return buf.getvalue()
 
 
-def _to_csv(header: list[str], rows: list[list]) -> str:
+def _csv_cell(cell) -> str:
+    if type(cell) is not float:
+        if cell is None:
+            return ""
+        if isinstance(cell, str):
+            return cell
+        if isinstance(cell, (int, np.integer)):
+            return str(int(cell))
+        cell = float(cell)
+    return "" if cell != cell else f"{cell:.17g}"
+
+
+def _csv_column(column: tuple) -> list[str] | tuple:
+    """One column's cells, encoded as :func:`_csv_cell` encodes each."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        total = sum(column)
+        if total == total:  # a NaN anywhere makes the sum NaN
+            return [f"{x:.17g}" for x in column]
+    elif kinds == {str}:
+        return column
+    elif kinds == {int}:
+        return list(map(str, column))
+    return [_csv_cell(cell) for cell in column]
+
+
+def _to_csv(header: list[str], rows: Iterable[Sequence]) -> str:
+    """Header plus rows of equal length; encoded column by column."""
+    columns = [_csv_column(column) for column in zip(*rows)]
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            # plain floats are most cells, so they skip the type checks
-            if type(cell) is not float:
-                if cell is None:
-                    cells.append("")
-                    continue
-                if isinstance(cell, str):
-                    cells.append(cell)
-                    continue
-                if isinstance(cell, (int, np.integer)):
-                    cells.append(str(int(cell)))
-                    continue
-                cell = float(cell)
-            cells.append("" if cell != cell else f"{cell:.17g}")
-        lines.append(",".join(cells))
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -118,11 +131,12 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_constants(args) -> int:
     m, alpha = args.m, args.alpha
-    table = cn.constant_table(m, alpha)
+    # one theta pass serves every table; constant_table validates m and alpha
+    th = cn.theta_sequence(max(m, 0))
+    table = cn.constant_table(m, alpha, th)
     ntab = cn.neumann_constants(m, table) if m >= 2 else None
-    th = cn.theta_sequence(m)
-    m0s = cn.m0_sequence(m)
-    plane = cn.whole_plane_limits_suite(m, alpha)
+    m0s = cn.m0_sequence(m, th)
+    plane = cn.whole_plane_limits_suite(m, alpha, th)
 
     if args.format == "json":
         payload = {
@@ -174,18 +188,15 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    reports = cn.theta_bounds_suite(args.kmax)
-    reports += cn.m0_bounds_suite(args.mmax)
-    reports += cn.sup_norm_bounds_suite(args.mmax)
+    table = (cn.theta_bounds_suite(args.kmax) + cn.m0_bounds_suite(args.mmax)
+             + cn.sup_norm_bounds_suite(args.mmax))
     if args.format == "json":
-        _emit(_to_json([r.to_dict() for r in reports]), args.out)
+        _emit(_to_json([r.to_dict() for r in table]), args.out)
         return 0
     header = ["check", "index", "lower", "value", "upper", "holds"]
-    rows = [
-        [r.check, r.index, r.lower, r.value, r.upper, "true" if r.holds else "false"]
-        for r in reports
-    ]
-    _emit(_to_csv(header, rows), args.out)
+    *cells, holds = table.columns()
+    cells.append(["true" if h else "false" for h in holds])
+    _emit(_to_csv(header, zip(*cells)), args.out)
     return 0
 
 

@@ -27,14 +27,21 @@ triple built for ``m_max`` serves the tables of every m <= m_max bit for
 bit.  So each suite (:func:`whole_plane_limits_suite`,
 :func:`sup_norm_bounds_suite`, like :func:`theta_bounds_suite` and
 :func:`m0_bounds_suite`) computes theta once per call, and ``nodal
-constants --m M`` costs O(M) Lambert evaluations and ``nodal bounds``
-O(kmax + mmax), not O(M^2).  Nothing is cached across calls.
+bounds`` costs O(kmax + mmax) Lambert evaluations, not O(M^2).
+:func:`constant_table`, :func:`m0_sequence` and
+:func:`whole_plane_limits_suite` also read theta from a given
+:class:`ThetaTable`, so ``nodal constants --m M`` runs the recursion once,
+in :func:`theta_sequence` (2M Lambert evaluations with its ``a_seq``
+oracle).  Nothing is cached across calls.
+
+The bounds suites return a :class:`BoundsTable`, the reports as parallel
+columns; the theta-growth sandwich is checked over whole columns at once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -51,6 +58,7 @@ __all__ = [
     "NeumannConstantTable",
     "WholePlaneLimits",
     "BoundsReport",
+    "BoundsTable",
     "theta_sequence",
     "constant_table",
     "m0_product_formula",
@@ -108,6 +116,13 @@ def _thetas() -> Iterator[float]:
 def _theta_prefix(k_max: int) -> np.ndarray:
     """``theta_0 .. theta_k_max`` as an array."""
     return np.fromiter(islice(_thetas(), k_max + 1), float, k_max + 1)
+
+
+def _theta_head(n: int, table: ThetaTable | None) -> list[float]:
+    """``theta_0 .. theta_{n-1}``, read from ``table`` when it holds them."""
+    if table is not None and table.k_max >= n - 1:
+        return table.theta[:n].tolist()
+    return list(islice(_thetas(), n))
 
 
 def _a_step(a_prev: float) -> float:
@@ -205,11 +220,12 @@ class _TableLogs:
     All products are formed from differences of ``prefix``, which keeps
     full relative precision for large m.  ``R``, ``S``, ``M`` and ``D``
     return ``constant_table(m).X[i]`` for the index ranges documented on
-    :class:`ConstantTable`.
+    :class:`ConstantTable`.  Theta is read from ``table`` when it reaches
+    theta_{m_max-1}.
     """
 
-    def __init__(self, m_max: int) -> None:
-        theta = list(islice(_thetas(), m_max))
+    def __init__(self, m_max: int, table: ThetaTable | None = None) -> None:
+        theta = _theta_head(m_max, table)
         ln_mb = [0.0] + [2.0 / (2.0 + th) for th in theta]
         ln_db = [0.0] + [ln_mb[k] + math.log(theta[k - 1] + 2.0)
                          for k in range(1, m_max + 1)]
@@ -239,12 +255,19 @@ class _TableLogs:
         return math.exp(self.ln_db[i] + self.prefix[i] - self.prefix[m])
 
 
-def constant_table(m: int, alpha: float = 0.0) -> ConstantTable:
-    """Build the full R/S/M/D table for ``m`` nodal regions."""
+def constant_table(
+    m: int, alpha: float = 0.0, theta: ThetaTable | None = None
+) -> ConstantTable:
+    """Build the full R/S/M/D table for ``m`` nodal regions.
+
+    ``theta``, when it is ``theta_sequence(k)`` for some k >= m - 1, is
+    read instead of running the recursion; the table is the same bit for
+    bit.
+    """
     if m < 1:
         raise ValueError("constant_table: m must be >= 1")
     _check_alpha("constant_table", alpha)
-    logs = _TableLogs(m)
+    logs = _TableLogs(m, theta)
     R = np.full(m, math.nan)
     R[1:] = [logs.R(m, i) for i in range(1, m)]
     S = np.array([logs.S(m, i) for i in range(m)])
@@ -254,15 +277,16 @@ def constant_table(m: int, alpha: float = 0.0) -> ConstantTable:
     return ConstantTable(m=m, alpha=float(alpha), R=R, S=S, M=M, D=D)
 
 
-def _m0_values() -> Iterator[float]:
+def _m0_values(thetas: Iterable[float]) -> Iterator[float]:
     """Product-formula values ``constant_table(m+1).M[0]`` for m = 1, 2, ...
 
-    Value m is ``(theta_m - 2)/4 * exp(2/(2+theta_m))`` times the running
-    product of ``(theta_k - 2)/(theta_k + 2)`` over k = 1..m-1, kept as a
-    sum of logs.
+    ``thetas`` yields theta_0, theta_1, ...; the values stop where it
+    does.  Value m is ``(theta_m - 2)/4 * exp(2/(2+theta_m))`` times the
+    running product of ``(theta_k - 2)/(theta_k + 2)`` over k = 1..m-1,
+    kept as a sum of logs.
     """
     logsum = 0.0
-    for th in islice(_thetas(), 1, None):
+    for th in islice(thetas, 1, None):
         yield (th - 2.0) / 4.0 * math.exp(2.0 / (2.0 + th) + logsum)
         logsum += math.log((th - 2.0) / (th + 2.0))
 
@@ -277,19 +301,21 @@ def m0_product_formula(m: int) -> float:
         raise ValueError("m0_product_formula: m must be >= 0")
     if m == 0:
         return SQRT_E
-    return next(islice(_m0_values(), m - 1, None))
+    return next(islice(_m0_values(_thetas()), m - 1, None))
 
 
-def m0_sequence(m_max: int) -> np.ndarray:
+def m0_sequence(m_max: int, theta: ThetaTable | None = None) -> np.ndarray:
     """``constant_table(i).M[0]`` for i = 1..m_max via one running product.
 
-    Entry j (0-based) holds the value for i = j + 1.
+    Entry j (0-based) holds the value for i = j + 1.  ``theta``, when it
+    is ``theta_sequence(k)`` for some k >= m_max - 1, is read instead of
+    running the recursion.
     """
     if m_max < 1:
         raise ValueError("m0_sequence: m_max must be >= 1")
     out = np.empty(m_max)
     out[0] = SQRT_E
-    out[1:] = np.fromiter(_m0_values(), float, m_max - 1)
+    out[1:] = np.fromiter(_m0_values(_theta_head(m_max, theta)), float, m_max - 1)
     return out
 
 
@@ -408,12 +434,18 @@ def whole_plane_limits(m: int, alpha: float = 0.0) -> WholePlaneLimits:
     return _plane_limits(_TableLogs(m + 1), m, alpha)
 
 
-def whole_plane_limits_suite(m_max: int, alpha: float = 0.0) -> list[WholePlaneLimits]:
-    """:func:`whole_plane_limits` for m = 1..m_max off one theta prefix."""
+def whole_plane_limits_suite(
+    m_max: int, alpha: float = 0.0, theta: ThetaTable | None = None
+) -> list[WholePlaneLimits]:
+    """:func:`whole_plane_limits` for m = 1..m_max off one theta prefix.
+
+    ``theta``, when it is ``theta_sequence(k)`` for some k >= m_max, is
+    read instead of running the recursion.
+    """
     if m_max < 1:
         raise ValueError("whole_plane_limits_suite: m_max must be >= 1")
     _check_alpha("whole_plane_limits_suite", alpha)
-    logs = _TableLogs(m_max + 1)
+    logs = _TableLogs(m_max + 1, theta)
     return [_plane_limits(logs, m, alpha) for m in range(1, m_max + 1)]
 
 
@@ -463,6 +495,89 @@ class BoundsReport:
         }
 
 
+_BOUNDS_COLUMNS = ("check", "index", "lower", "value", "upper", "holds")
+
+
+@dataclass(frozen=True, eq=False)
+class BoundsTable:
+    """Bounds reports as six parallel columns, one entry per report.
+
+    ``check`` is a tuple of str; ``index`` (int), ``lower``, ``value``,
+    ``upper`` (float64) and ``holds`` (bool) are frozen arrays.  Row access
+    and iteration yield :class:`BoundsReport` rows with plain
+    ``int``/``float``/``bool`` fields, ``len`` counts the rows, ``+``
+    concatenates two tables, and a table compares equal to any sequence
+    of the same rows.
+    """
+
+    check: tuple[str, ...]
+    index: np.ndarray
+    lower: np.ndarray
+    value: np.ndarray
+    upper: np.ndarray
+    holds: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.index, self.lower, self.value, self.upper, self.holds):
+            _freeze(arr)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[BoundsReport]) -> BoundsTable:
+        rows = list(rows)
+        check, index, lower, value, upper, holds = (
+            [getattr(r, name) for r in rows] for name in _BOUNDS_COLUMNS)
+        return cls(tuple(check), np.array(index, dtype=np.int64),
+                   np.array(lower, dtype=float), np.array(value, dtype=float),
+                   np.array(upper, dtype=float), np.array(holds, dtype=bool))
+
+    def columns(self) -> tuple[list, ...]:
+        """The six columns as lists of plain Python values."""
+        return (list(self.check), self.index.tolist(), self.lower.tolist(),
+                self.value.tolist(), self.upper.tolist(), self.holds.tolist())
+
+    def __len__(self) -> int:
+        return len(self.check)
+
+    def __getitem__(self, i: int) -> BoundsReport:
+        return BoundsReport(self.check[i], self.index.item(i), self.lower.item(i),
+                            self.value.item(i), self.upper.item(i), self.holds.item(i))
+
+    def __iter__(self) -> Iterator[BoundsReport]:
+        return map(BoundsReport, *self.columns())
+
+    def __add__(self, other: BoundsTable) -> BoundsTable:
+        if not isinstance(other, BoundsTable):
+            return NotImplemented
+        return BoundsTable(self.check + other.check, *(
+            np.concatenate((getattr(self, name), getattr(other, name)))
+            for name in _BOUNDS_COLUMNS[1:]
+        ))
+
+    def __eq__(self, other) -> bool:
+        try:
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        except TypeError:
+            return NotImplemented
+
+
+def _theta_sandwich(table: ThetaTable, ks: np.ndarray) -> BoundsTable:
+    """The ``theta_growth`` report of :func:`theta_bounds_check` for each k in ``ks``.
+
+    The sandwich is evaluated over whole columns; W(1/(4k)) stays one
+    scalar :func:`lambert_w0` call per k.
+    """
+    theta = table.theta[ks]
+    a = table.a_seq[ks]
+    quarter = 1.0 / (4.0 * ks)
+    w = np.array([lambert_w0(x) for x in quarter.tolist()])
+    lower = 2.0 + 8.0 * ks
+    upper = 4.0 + 8.0 * ks
+    mid = 2.0 + 2.0 / w
+    holds = ((lower < theta) & (theta < mid) & (mid < upper)
+             & (1.0 / (4.0 * ks + 1.0) < w) & (w < a) & (a < quarter))
+    return BoundsTable(("theta_growth",) * len(ks), ks, lower, theta, upper, holds)
+
+
 def theta_bounds_check(k: int, table: ThetaTable | None = None) -> BoundsReport:
     """Linear-growth sandwich ``2+8k < theta_k < 2 + 2/W(1/(4k)) < 4+8k``.
 
@@ -473,25 +588,14 @@ def theta_bounds_check(k: int, table: ThetaTable | None = None) -> BoundsReport:
         raise ValueError("theta_bounds_check: k must be >= 1")
     if table is None or table.k_max < k:
         table = theta_sequence(k)
-    th = table.theta[k]
-    a = table.a_seq[k]
-    w = lambert_w0(1.0 / (4.0 * k))
-    lower = 2.0 + 8.0 * k
-    upper = 4.0 + 8.0 * k
-    mid = 2.0 + 2.0 / w
-    holds = bool(
-        lower < th < mid < upper
-        and 1.0 / (4.0 * k + 1.0) < w < a < 1.0 / (4.0 * k)
-    )
-    return BoundsReport(
-        check="theta_growth", index=k, lower=lower, value=th, upper=upper, holds=holds
-    )
+    return _theta_sandwich(table, np.arange(k, k + 1))[0]
 
 
-def theta_bounds_suite(k_max: int) -> list[BoundsReport]:
-    """:func:`theta_bounds_check` for k = 1..k_max off one shared table."""
-    table = theta_sequence(k_max)
-    return [theta_bounds_check(k, table) for k in range(1, k_max + 1)]
+def theta_bounds_suite(k_max: int) -> BoundsTable:
+    """:func:`theta_bounds_check` for k = 1..k_max off one shared table, as columns."""
+    if k_max < 1:
+        raise ValueError(f"theta_bounds_suite: k_max must be >= 1 (got {k_max})")
+    return _theta_sandwich(theta_sequence(k_max), np.arange(1, k_max + 1))
 
 
 def _m0_gamma_bounds(m: int) -> tuple[float, float]:
@@ -521,12 +625,13 @@ def m0_bounds_check(m: int, value: float | None = None) -> BoundsReport:
     )
 
 
-def m0_bounds_suite(m_max: int) -> list[BoundsReport]:
-    """:func:`m0_bounds_check` for m = 1..m_max with a running product."""
+def m0_bounds_suite(m_max: int) -> BoundsTable:
+    """:func:`m0_bounds_check` for m = 1..m_max with a running product, as columns."""
     if m_max < 1:
         raise ValueError("m0_bounds_suite: m_max must be >= 1")
-    return [m0_bounds_check(m, value)
-            for m, value in zip(range(1, m_max + 1), _m0_values())]
+    return BoundsTable.from_rows(
+        m0_bounds_check(m, value)
+        for m, value in zip(range(1, m_max + 1), _m0_values(_thetas())))
 
 
 def _sup_norm_reports(m: int, m0: float, s_last: float) -> list[BoundsReport]:
@@ -585,13 +690,17 @@ def sup_norm_bounds(m: int, table: ConstantTable | None = None) -> list[BoundsRe
     return _sup_norm_reports(m, table.M[0], table.S[m - 1])
 
 
-def sup_norm_bounds_suite(m_max: int) -> list[BoundsReport]:
-    """:func:`sup_norm_bounds` for m = 1..m_max, concatenated, off one theta prefix."""
+def sup_norm_bounds_suite(m_max: int) -> BoundsTable:
+    """:func:`sup_norm_bounds` for m = 1..m_max, concatenated, off one theta prefix.
+
+    Returned as columns, a :class:`BoundsTable`.
+    """
     if m_max < 1:
         raise ValueError("sup_norm_bounds_suite: m_max must be >= 1")
     logs = _TableLogs(m_max)
-    return [report for m in range(1, m_max + 1)
-            for report in _sup_norm_reports(m, logs.M(m, 0), logs.S(m, m - 1))]
+    return BoundsTable.from_rows(
+        report for m in range(1, m_max + 1)
+        for report in _sup_norm_reports(m, logs.M(m, 0), logs.S(m, m - 1)))
 
 
 def morse_conjecture(m: int) -> int:

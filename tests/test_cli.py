@@ -104,6 +104,67 @@ def test_bounds_lambert_calls_linear(capsys, monkeypatch):
     assert _lambert_calls(monkeypatch, argv) <= 3 * kmax + 3 * mmax
 
 
+def test_constants_reads_theta_once(capsys, monkeypatch):
+    # theta_1..theta_m and the a_seq oracle: every other table reads that one pass
+    m = 200
+    assert _lambert_calls(monkeypatch, ["constants", "--m", str(m)]) <= 2 * m + 1
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_bounds_nonpositive_kmax_rejected(capsys, kmax):
+    assert run(["bounds", "--kmax", kmax, "--mmax", "3"]) == 1
+    out, err = _capture(capsys)
+    assert out == ""
+    assert f"nodal: error: theta_bounds_suite: k_max must be >= 1 (got {kmax})" in err
+
+
+def _scalar_bounds_rows(kmax, mmax):
+    """The ``bounds`` rows rebuilt from the scalar definitions, one k or m at a time."""
+    table = cn.theta_sequence(kmax)
+    rows = []
+    for k in range(1, kmax + 1):
+        th, a = float(table.theta[k]), float(table.a_seq[k])
+        w = cn.lambert_w0(1.0 / (4.0 * k))
+        lower, upper, mid = 2.0 + 8.0 * k, 4.0 + 8.0 * k, 2.0 + 2.0 / w
+        holds = (lower < th < mid < upper
+                 and 1.0 / (4.0 * k + 1.0) < w < a < 1.0 / (4.0 * k))
+        rows.append(cn.BoundsReport("theta_growth", k, lower, th, upper, holds))
+    rows += [cn.m0_bounds_check(m) for m in range(1, mmax + 1)]
+    rows += [r for m in range(1, mmax + 1) for r in cn.sup_norm_bounds(m)]
+    return rows
+
+
+@pytest.mark.parametrize("kmax, mmax", [(1, 1), (2, 3), (777, 61)])
+def test_bounds_csv_matches_scalar_oracle(capsys, kmax, mmax):
+    assert run(["bounds", "--kmax", str(kmax), "--mmax", str(mmax)]) == 0
+    out, _ = _capture(capsys)
+    header = ["check", "index", "lower", "value", "upper", "holds"]
+    rows = [[r.check, r.index, r.lower, r.value, r.upper, "true" if r.holds else "false"]
+            for r in _scalar_bounds_rows(kmax, mmax)]
+    assert out == _csv_chain_oracle(header, rows)
+
+
+def test_bounds_json_matches_scalar_oracle(capsys):
+    assert run(["bounds", "--kmax", "2", "--mmax", "3", "--format", "json"]) == 0
+    out, _ = _capture(capsys)
+    assert out == cli._to_json([r.to_dict() for r in _scalar_bounds_rows(2, 3)])
+
+
+def test_bounds_csv_builds_no_theta_reports(capsys, monkeypatch):
+    # the theta rows reach the CSV as columns; only the m0 and sup-norm rows are objects
+    built = [0]
+    init = cn.BoundsReport.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cn.BoundsReport, "__init__", counting)
+    mmax = 10
+    assert run(["bounds", "--kmax", "5000", "--mmax", str(mmax)]) == 0
+    assert 0 < built[0] <= 4 * mmax
+
+
 def test_solve_validation_exit_codes(capsys):
     assert run(["solve", "--p", "2", "--alpha", "0", "--m", "1", "--bc", "neumann"]) == 1
     _, err = _capture(capsys)
@@ -358,3 +419,22 @@ def test_csv_encoder_matches_chain_oracle():
     rows.append([float(x) for x in rng.normal(0.0, 1e3, 15) * 10.0 ** rng.integers(-300, 300, 15)])
     header = [f"c{j}" for j in range(15)]
     assert cli._to_csv(header, rows) == _csv_chain_oracle(header, rows)
+
+
+def test_csv_column_fast_paths_match_chain_oracle():
+    # each column is uniform enough to take a fast path, or has one intruder that must not
+    columns = {
+        "float_nan": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.797e308],
+        "float_pos_inf": [math.inf, -0.0, 5e-324, 1.797e308, 1.797e308, 0.1],
+        "float_neg_inf": [-math.inf, 0.0, -5e-324, -1.797e308, 1 / 3, 2.0 ** 60],
+        "float_inf_pair": [math.inf, -math.inf, 1.0, 2.0, 3.0, 4.0],
+        "float_np": [0.1, 0.2, np.float64(0.3), 0.4, 0.5, 0.6],
+        "float_none": [0.1, None, 0.3, 0.4, 0.5, 0.6],
+        "int_bool": [1, 2, True, 4, -5, 0],
+        "int_np": [1, 2, 3, np.int64(-4), 5, 10**20],
+        "str": ["a", "", "theta_growth", "true", "false", "x y"],
+    }
+    header = list(columns)
+    rows = [list(row) for row in zip(*columns.values())]
+    assert cli._to_csv(header, rows) == _csv_chain_oracle(header, rows)
+    assert cli._to_csv(header, []) == _csv_chain_oracle(header, [])

@@ -330,6 +330,64 @@ def test_theta_bounds_suite():
     assert all(r.holds for r in reports)
 
 
+def test_theta_bounds_check_equals_suite_row():
+    suite = cn.theta_bounds_suite(900)
+    for k in (1, 2, 450, 900):
+        assert cn.theta_bounds_check(k) == suite[k - 1]
+
+
+def test_theta_sandwich_rejects_each_broken_clause():
+    k, good = 7, cn.theta_sequence(7)
+    w = cn.lambert_w0(1.0 / (4.0 * k))
+    broken = {
+        "theta at the lower bound": (2.0 + 8.0 * k, None),
+        "theta above 2 + 2/W": (4.0 + 8.0 * k - 1e-9, None),
+        "a_seq below W": (None, 0.5 * w),
+        "a_seq above 1/(4k)": (None, 1.0 / (4.0 * k) * (1.0 + 1e-12)),
+    }
+    assert cn.theta_bounds_check(k, good).holds
+    for name, (th, a) in broken.items():
+        theta, a_seq = good.theta.copy(), good.a_seq.copy()
+        if th is not None:
+            theta[k] = th
+        if a is not None:
+            a_seq[k] = a
+        table = cn.ThetaTable(k_max=k, theta=theta, a_seq=a_seq)
+        assert not cn.theta_bounds_check(k, table).holds, name
+
+
+def test_bounds_tables_yield_plain_rows():
+    table = cn.theta_bounds_suite(3) + cn.m0_bounds_suite(3) + cn.sup_norm_bounds_suite(3)
+    assert isinstance(table, cn.BoundsTable) and len(table) == 3 + 3 + 7
+    for row in [*table, table[0], table[-1]]:
+        assert isinstance(row, cn.BoundsReport)
+        assert [type(getattr(row, name)) for name in
+                ("check", "index", "lower", "value", "upper", "holds")] == \
+               [str, int, float, float, float, bool]
+    assert list(table) == [table[i] for i in range(len(table))]
+    assert table[-1] == cn.sup_norm_bounds(3)[-1]
+    assert table != list(table)[:-1]
+    with pytest.raises(ValueError):
+        table.value[0] = 0.0
+
+
+def test_theta_bounds_suite_rejects_nonpositive_kmax():
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="theta_bounds_suite: k_max must be >= 1"):
+            cn.theta_bounds_suite(k_max)
+
+
+@pytest.mark.parametrize("k", [0, 39, 40, 41, 80])
+def test_tables_from_given_theta(k):
+    # a ThetaTable long enough is read; a shorter one is ignored; both give the same bits
+    m, theta = 40, cn.theta_sequence(k)
+    given, direct = cn.constant_table(m, 1.0, theta), cn.constant_table(m, 1.0)
+    for name in ("R", "S", "M", "D"):
+        assert np.array_equal(getattr(given, name), getattr(direct, name), equal_nan=True)
+    assert np.array_equal(cn.m0_sequence(m, theta), cn.m0_sequence(m))
+    assert cn.whole_plane_limits_suite(m, 2.5, theta) == cn.whole_plane_limits_suite(m, 2.5)
+
+
 def test_m0_bounds_check():
     rep = cn.m0_bounds_check(1)
     assert rep.holds
