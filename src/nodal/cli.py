@@ -102,8 +102,9 @@ def _csv_column(column: tuple) -> list[str] | tuple:
     """One column's cells, encoded as :func:`_csv_cell` encodes each."""
     kinds = set(map(type, column))
     if kinds == {float}:
+        # a NaN cell makes the sum NaN (so can inf - inf); such columns take the chain
         total = sum(column)
-        if total == total:  # a NaN anywhere makes the sum NaN
+        if total == total:
             return [f"{x:.17g}" for x in column]
     elif kinds == {str}:
         return column
@@ -115,9 +116,8 @@ def _csv_column(column: tuple) -> list[str] | tuple:
 def _to_csv(header: list[str], rows: Iterable[Sequence]) -> str:
     """Header plus rows of equal length; encoded column by column."""
     columns = [_csv_column(column) for column in zip(*rows)]
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*columns)))
-    return "\n".join(lines) + "\n"
+    # the empty last line gives the final newline without copying the text again
+    return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
 
 
 def _emit(text: str, out: str | None) -> None:
