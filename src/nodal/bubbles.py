@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .constants import _check_alpha, _theta_prefix
+from .constants import _check_alpha, _theta_head
 from .constants import theta_sequence  # noqa: F401  perfbench/layertrace.py wraps this binding
 
 __all__ = [
@@ -89,7 +89,7 @@ def bubble_spec(i: int, alpha: float = 0.0) -> BubbleSpec:
     if i < 0:
         raise ValueError("bubble_spec: i must be >= 0")
     _check_alpha("bubble_spec", alpha)
-    th = float(_theta_prefix(i)[-1])
+    th = _theta_head(i + 1)[-1]
     if i == 0:
         beta = 2.0 * math.sqrt(2.0)
         sigma = 0.0

@@ -98,7 +98,7 @@ def _csv_cell(cell) -> str:
     return "" if cell != cell else f"{cell:.17g}"
 
 
-def _csv_column(column: tuple) -> list[str] | tuple:
+def _csv_column(column: Sequence) -> Sequence[str]:
     """One column's cells, encoded as :func:`_csv_cell` encodes each."""
     kinds = set(map(type, column))
     if kinds == {float}:
@@ -113,11 +113,11 @@ def _csv_column(column: tuple) -> list[str] | tuple:
     return [_csv_cell(cell) for cell in column]
 
 
-def _to_csv(header: list[str], rows: Iterable[Sequence]) -> str:
-    """Header plus rows of equal length; encoded column by column."""
-    columns = [_csv_column(column) for column in zip(*rows)]
+def _to_csv(header: list[str], columns: Iterable[Sequence]) -> str:
+    """Header plus one column of equal length per header entry."""
+    cells = [_csv_column(column) for column in columns]
     # the empty last line gives the final newline without copying the text again
-    return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
+    return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -159,31 +159,30 @@ def _cmd_constants(args) -> int:
         "R_neumann", "D_neumann", "S_neumann", "M_neumann",
         "plane_rho", "plane_drv", "plane_delta", "plane_val",
     ]
-    rows = []
-    for i in range(0, m + 1):
-        row: list = [i]
-        row.append(_fmt(th.theta[i], 6))
-        row.append(_fmt(m0s[i - 1], 6) if i >= 1 else None)
-        row.append(_fmt(m0s[i - 1] / math.sqrt(i), 6) if i >= 1 else None)
-        row.append(th.theta[i])
-        row.append(table.R[i] if 1 <= i <= m - 1 else None)
-        row.append(table.S[i] if i <= m - 1 else None)
-        row.append(table.M[i] if i <= m - 1 else None)
-        row.append(table.D[i] if 1 <= i <= m else None)
-        if ntab is not None:
-            row.append(ntab.Rbar[i] if 1 <= i <= m - 1 else None)
-            row.append(ntab.Dbar[i] if 1 <= i <= m - 1 else None)
-            row.append(ntab.Sbar[i] if i <= m - 1 else None)
-            row.append(ntab.Mbar[i] if i <= m - 1 else None)
-        else:
-            row.extend([None, None, None, None])
-        if i >= 1:
-            w = plane[i - 1]
-            row.extend([w.rho_lim, w.drv_lim, w.delta_lim, w.val_lim])
-        else:
-            row.extend([None, None, None, None])
-        rows.append(row)
-    _emit(_to_csv(header, rows), args.out)
+    n = m + 1  # rows i = 0..m
+
+    def pad(values: list, start: int) -> list:
+        """``values`` in rows ``start``.., empty cells elsewhere."""
+        return [None] * start + values + [None] * (n - start - len(values))
+
+    theta, m0_list = th.theta.tolist(), m0s.tolist()
+    if ntab is not None:
+        neumann = [pad(ntab.Rbar[1:].tolist(), 1), pad(ntab.Dbar[1:].tolist(), 1),
+                   pad(ntab.Sbar.tolist(), 0), pad(ntab.Mbar.tolist(), 0)]
+    else:
+        neumann = [pad([], 0)] * 4
+    columns = [
+        range(n), [_fmt(x, 6) for x in theta],
+        pad([_fmt(x, 6) for x in m0_list], 1),
+        pad([_fmt(x / math.sqrt(i), 6) for i, x in enumerate(m0_list, 1)], 1),
+        theta,
+        pad(table.R[1:].tolist(), 1), pad(table.S.tolist(), 0),
+        pad(table.M.tolist(), 0), pad(table.D[1:].tolist(), 1),
+        *neumann,
+        *(pad([getattr(w, name) for w in plane], 1)
+          for name in ("rho_lim", "drv_lim", "delta_lim", "val_lim")),
+    ]
+    _emit(_to_csv(header, columns), args.out)
     return 0
 
 
@@ -194,9 +193,9 @@ def _cmd_bounds(args) -> int:
         _emit(_to_json([r.to_dict() for r in table]), args.out)
         return 0
     header = ["check", "index", "lower", "value", "upper", "holds"]
-    *cells, holds = table.columns()
-    cells.append(["true" if h else "false" for h in holds])
-    _emit(_to_csv(header, zip(*cells)), args.out)
+    *columns, holds = table.columns()
+    columns.append(["true" if h else "false" for h in holds])
+    _emit(_to_csv(header, columns), args.out)
     return 0
 
 
@@ -207,26 +206,19 @@ def _cmd_solve(args) -> int:
         raise ValueError(f"solve: --samples must be >= 0 (got {args.samples})")
     w = solve_whole_plane(args.p, args.alpha, args.m, args.tol)
     if args.bc == "plane":
-        sol_dict = w.to_dict(samples=args.samples)
-        samples = sol_dict.get("samples")
-        csv_rows = (
-            [[t, u, ut] for t, u, ut in
-             zip(samples["t"], samples["u"], samples["ut"])] if samples else [])
-        csv_header = ["t", "u", "ut"]
+        sol = w
+    elif args.bc == "dirichlet":
+        sol = dirichlet_solution(w, args.m)
     else:
-        sol = (dirichlet_solution(w, args.m) if args.bc == "dirichlet"
-               else neumann_solution(w, args.m))
-        sol_dict = sol.to_dict(samples=args.samples)
-        samples = sol_dict.get("samples")
-        csv_rows = (
-            [[r, u] for r, u in zip(samples["r"], samples["u"])] if samples else [])
-        csv_header = ["r", "u"]
+        sol = neumann_solution(w, args.m)
+    sol_dict = sol.to_dict(samples=args.samples)
     if args.format == "json":
         _emit(_to_json(sol_dict), args.out)
         return 0
-    if not csv_rows:
+    samples = sol_dict.get("samples")
+    if samples is None:
         raise ValueError("solve: csv output requires --samples N")
-    _emit(_to_csv(csv_header, csv_rows), args.out)
+    _emit(_to_csv(list(samples), samples.values()), args.out)
     return 0
 
 
@@ -236,15 +228,10 @@ def _cmd_verify(args) -> int:
         _emit(_to_json([r.to_dict() for r in reports]), args.out)
         return 0
     header = ["quantity", "bc", "m", "alpha", "i", "p", "computed", "limit", "abs_err"]
-    rows = []
-    for rep in reports:
-        for row in rep.rows:
-            rows.append([
-                rep.quantity, rep.bc, rep.m, rep.alpha,
-                rep.i if rep.i is not None else None,
-                row.p, row.computed, row.limit, row.abs_err,
-            ])
-    _emit(_to_csv(header, rows), args.out)
+    rows = [[rep.quantity, rep.bc, rep.m, rep.alpha, rep.i,
+             row.p, row.computed, row.limit, row.abs_err]
+            for rep in reports for row in rep.rows]
+    _emit(_to_csv(header, zip(*rows)), args.out)
     return 0
 
 
@@ -290,7 +277,7 @@ def _cmd_bubble(args) -> int:
     for name, ck in checks.items():
         print(f"# {name}: " + " ".join(f"{k}={_fmt(float(v))}" for k, v in ck.items()),
               file=sys.stderr)
-    _emit(_to_csv(["r", "Z", "expZ"], [list(row) for row in samples]), args.out)
+    _emit(_to_csv(["r", "Z", "expZ"], samples.T.tolist()), args.out)
     return 0
 
 
@@ -405,7 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, default=0.0)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--bc", choices=("dirichlet", "neumann", "plane"), required=True)
-    s.add_argument("--samples", type=int, default=0)
+    s.add_argument("--samples", type=int, default=0, metavar="N",
+                   help="print min(N, nodes) samples: the stored solver nodes (inside "
+                        "the disc for dirichlet/neumann), spaced evenly by index")
     s.add_argument("--tol", type=float, default=None)
     s.add_argument("--format", choices=("csv", "json"), default="json")
     s.add_argument("--out", default=None)

@@ -35,7 +35,10 @@ in :func:`theta_sequence` (2M Lambert evaluations with its ``a_seq``
 oracle).  Nothing is cached across calls.
 
 The bounds suites return a :class:`BoundsTable`, the reports as parallel
-columns; the theta-growth sandwich is checked over whole columns at once.
+columns, and every sandwich is checked over whole columns by one rule,
+``_sandwich``.  The scalar checks (:func:`theta_bounds_check`,
+:func:`m0_bounds_check`, :func:`sup_norm_bounds`) read their rows off the
+suites, and :func:`whole_plane_limits` is the last entry of its suite.
 """
 
 from __future__ import annotations
@@ -113,12 +116,7 @@ def _thetas() -> Iterator[float]:
         th = _theta_step(th)
 
 
-def _theta_prefix(k_max: int) -> np.ndarray:
-    """``theta_0 .. theta_k_max`` as an array."""
-    return np.fromiter(islice(_thetas(), k_max + 1), float, k_max + 1)
-
-
-def _theta_head(n: int, table: ThetaTable | None) -> list[float]:
+def _theta_head(n: int, table: ThetaTable | None = None) -> list[float]:
     """``theta_0 .. theta_{n-1}``, read from ``table`` when it holds them."""
     if table is not None and table.k_max >= n - 1:
         return table.theta[:n].tolist()
@@ -160,7 +158,7 @@ def theta_sequence(k_max: int) -> ThetaTable:
     """Compute ``theta_0 .. theta_k_max`` together with the a_seq oracle."""
     if k_max < 0:
         raise ValueError("theta_sequence: k_max must be >= 0")
-    theta = _theta_prefix(k_max)
+    theta = np.array(_theta_head(k_max + 1))
     # a Python list keeps the Halley loop in lambert_w0 on plain floats
     a_seq = [math.nan]
     if k_max >= 1:
@@ -408,21 +406,6 @@ class WholePlaneLimits:
         }
 
 
-def _plane_limits(logs: _TableLogs, m: int, alpha: float) -> WholePlaneLimits:
-    """Whole-plane limits at zero m from a triple built for m_max >= m+1."""
-    q = alpha + 2.0
-    m0 = logs.M(m, 0)
-    m0_next = logs.M(m + 1, 0)
-    return WholePlaneLimits(
-        m=m,
-        alpha=float(alpha),
-        rho_lim=m0 ** (2.0 / q),
-        drv_lim=q / 2.0 * logs.D(m, m) / m0,
-        delta_lim=(m0_next * logs.S(m + 1, m)) ** (2.0 / q),
-        val_lim=logs.M(m + 1, m) / m0_next,
-    )
-
-
 def whole_plane_limits(m: int, alpha: float = 0.0) -> WholePlaneLimits:
     """Limits of the zero/critical data of the whole-plane solution.
 
@@ -431,7 +414,7 @@ def whole_plane_limits(m: int, alpha: float = 0.0) -> WholePlaneLimits:
     if m < 1:
         raise ValueError("whole_plane_limits: m must be >= 1")
     _check_alpha("whole_plane_limits", alpha)
-    return _plane_limits(_TableLogs(m + 1), m, alpha)
+    return whole_plane_limits_suite(m, alpha)[-1]
 
 
 def whole_plane_limits_suite(
@@ -446,7 +429,19 @@ def whole_plane_limits_suite(
         raise ValueError("whole_plane_limits_suite: m_max must be >= 1")
     _check_alpha("whole_plane_limits_suite", alpha)
     logs = _TableLogs(m_max + 1, theta)
-    return [_plane_limits(logs, m, alpha) for m in range(1, m_max + 1)]
+    q = alpha + 2.0
+    out = []
+    for m in range(1, m_max + 1):
+        m0, m0_next = logs.M(m, 0), logs.M(m + 1, 0)
+        out.append(WholePlaneLimits(
+            m=m,
+            alpha=float(alpha),
+            rho_lim=m0 ** (2.0 / q),
+            drv_lim=q / 2.0 * logs.D(m, m) / m0,
+            delta_lim=(m0_next * logs.S(m + 1, m)) ** (2.0 / q),
+            val_lim=logs.M(m + 1, m) / m0_next,
+        ))
+    return out
 
 
 def energy_limit(m: int, alpha: float, bc: str) -> float:
@@ -456,7 +451,7 @@ def energy_limit(m: int, alpha: float, bc: str) -> float:
     if m < 1 or (bc == "neumann" and m < 2):
         raise ValueError(f"energy_limit: m={m} invalid for bc={bc}")
     _check_alpha("energy_limit", alpha)
-    th = _theta_prefix(m - 1)[-1]
+    th = _theta_head(m)[-1]
     if bc == "dirichlet":
         m_last = math.exp(2.0 / (2.0 + th))
         return (alpha + 2.0) / 8.0 * m_last**2 * (th + 2.0) ** 2
@@ -468,7 +463,7 @@ def gamma_alpha_m(alpha: float, m: int) -> float:
     if m < 1:
         raise ValueError("gamma_alpha_m: m must be >= 1")
     _check_alpha("gamma_alpha_m", alpha)
-    th = _theta_prefix(m - 1)[-1]
+    th = _theta_head(m)[-1]
     sign = 1.0 if m % 2 == 1 else -1.0
     return sign * (alpha + 2.0) / 2.0 * math.exp(2.0 / (2.0 + th)) * (th + 2.0)
 
@@ -521,15 +516,6 @@ class BoundsTable:
         for arr in (self.index, self.lower, self.value, self.upper, self.holds):
             _freeze(arr)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[BoundsReport]) -> BoundsTable:
-        rows = list(rows)
-        check, index, lower, value, upper, holds = (
-            [getattr(r, name) for r in rows] for name in _BOUNDS_COLUMNS)
-        return cls(tuple(check), np.array(index, dtype=np.int64),
-                   np.array(lower, dtype=float), np.array(value, dtype=float),
-                   np.array(upper, dtype=float), np.array(holds, dtype=bool))
-
     def columns(self) -> tuple[list, ...]:
         """The six columns as lists of plain Python values."""
         return (list(self.check), self.index.tolist(), self.lower.tolist(),
@@ -560,22 +546,33 @@ class BoundsTable:
             return NotImplemented
 
 
+def _sandwich(check: str, index, lower, value, upper, also=True) -> BoundsTable:
+    """One ``check`` report per ``index``; it holds when its sandwich and ``also`` do.
+
+    This is the one place a :class:`BoundsReport` sandwich is evaluated.
+    Every argument but ``check`` is a column (``also`` may be a scalar),
+    and the comparisons run over whole arrays.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    lower, value, upper = (np.asarray(x, dtype=float) for x in (lower, value, upper))
+    holds = (lower < value) & (value < upper) & also
+    return BoundsTable((check,) * len(index), index, lower, value, upper, holds)
+
+
 def _theta_sandwich(table: ThetaTable, ks: np.ndarray) -> BoundsTable:
     """The ``theta_growth`` report of :func:`theta_bounds_check` for each k in ``ks``.
 
-    The sandwich is evaluated over whole columns; W(1/(4k)) stays one
-    scalar :func:`lambert_w0` call per k.
+    W(1/(4k)) stays one scalar :func:`lambert_w0` call per k.
     """
     theta = table.theta[ks]
     a = table.a_seq[ks]
     quarter = 1.0 / (4.0 * ks)
     w = np.array([lambert_w0(x) for x in quarter.tolist()])
-    lower = 2.0 + 8.0 * ks
     upper = 4.0 + 8.0 * ks
     mid = 2.0 + 2.0 / w
-    holds = ((lower < theta) & (theta < mid) & (mid < upper)
-             & (1.0 / (4.0 * ks + 1.0) < w) & (w < a) & (a < quarter))
-    return BoundsTable(("theta_growth",) * len(ks), ks, lower, theta, upper, holds)
+    also = ((theta < mid) & (mid < upper)
+            & (1.0 / (4.0 * ks + 1.0) < w) & (w < a) & (a < quarter))
+    return _sandwich("theta_growth", ks, 2.0 + 8.0 * ks, theta, upper, also)
 
 
 def theta_bounds_check(k: int, table: ThetaTable | None = None) -> BoundsReport:
@@ -608,86 +605,33 @@ def _m0_gamma_bounds(m: int) -> tuple[float, float]:
     return lower, upper
 
 
-def m0_bounds_check(m: int, value: float | None = None) -> BoundsReport:
+def m0_bounds_check(m: int) -> BoundsReport:
     """Gamma-ratio sandwich for the sup-norm limit ``constant_table(m+1).M[0]``."""
     if m < 1:
         raise ValueError("m0_bounds_check: m must be >= 1")
-    if value is None:
-        value = m0_product_formula(m)
-    lower, upper = _m0_gamma_bounds(m)
-    return BoundsReport(
-        check="m0_growth",
-        index=m,
-        lower=lower,
-        value=value,
-        upper=upper,
-        holds=bool(lower < value < upper),
-    )
+    return m0_bounds_suite(m)[-1]
 
 
 def m0_bounds_suite(m_max: int) -> BoundsTable:
     """:func:`m0_bounds_check` for m = 1..m_max with a running product, as columns."""
     if m_max < 1:
         raise ValueError("m0_bounds_suite: m_max must be >= 1")
-    return BoundsTable.from_rows(
-        m0_bounds_check(m, value)
-        for m, value in zip(range(1, m_max + 1), _m0_values(_thetas())))
+    ms = range(1, m_max + 1)
+    lower, upper = zip(*map(_m0_gamma_bounds, ms))
+    value = np.fromiter(_m0_values(_thetas()), float, m_max)
+    return _sandwich("m0_growth", ms, lower, value, upper)
 
 
-def _sup_norm_reports(m: int, m0: float, s_last: float) -> list[BoundsReport]:
-    """The sandwiches of :func:`sup_norm_bounds` for M[0] and S[m-1] of table m."""
-    lo, up = _m0_gamma_bounds(m - 1)
-    out = [
-        BoundsReport(
-            check="dirichlet_sup",
-            index=m,
-            lower=lo,
-            value=m0,
-            upper=up,
-            holds=bool(lo < m0 < up),
-        )
-    ]
-    if m >= 2:
-        s_lo = math.exp(-1.0 / (4.0 * m - 2.0))
-        s_up = math.exp(-1.0 / (4.0 * m - 1.0))
-        out.append(
-            BoundsReport(
-                check="s_last",
-                index=m,
-                lower=s_lo,
-                value=s_last,
-                upper=s_up,
-                holds=bool(s_lo < s_last < s_up),
-            )
-        )
-        n_val = s_last * m0
-        n_lo = lo * s_lo
-        n_up = up * s_up
-        out.append(
-            BoundsReport(
-                check="neumann_sup",
-                index=m,
-                lower=n_lo,
-                value=n_val,
-                upper=n_up,
-                holds=bool(n_lo < n_val < n_up),
-            )
-        )
-    return out
-
-
-def sup_norm_bounds(m: int, table: ConstantTable | None = None) -> list[BoundsReport]:
+def sup_norm_bounds(m: int) -> list[BoundsReport]:
     """Sup-norm growth sandwiches for the Dirichlet and Neumann solutions.
 
-    Emits ``dirichlet_sup`` (m >= 1), and for m >= 2 also ``neumann_sup``
-    and the ``s_last`` sandwich
-    ``exp(-1/(4m-2)) < S[m-1] < exp(-1/(4m-1))`` it relies on.
+    Emits ``dirichlet_sup`` (m >= 1), and for m >= 2 also ``s_last``, the
+    sandwich ``exp(-1/(4m-2)) < S[m-1] < exp(-1/(4m-1))``, and
+    ``neumann_sup``, which relies on it.
     """
     if m < 1:
         raise ValueError("sup_norm_bounds: m must be >= 1")
-    if table is None or table.m != m:
-        table = constant_table(m)
-    return _sup_norm_reports(m, table.M[0], table.S[m - 1])
+    return [r for r in sup_norm_bounds_suite(m) if r.index == m]
 
 
 def sup_norm_bounds_suite(m_max: int) -> BoundsTable:
@@ -698,9 +642,20 @@ def sup_norm_bounds_suite(m_max: int) -> BoundsTable:
     if m_max < 1:
         raise ValueError("sup_norm_bounds_suite: m_max must be >= 1")
     logs = _TableLogs(m_max)
-    return BoundsTable.from_rows(
-        report for m in range(1, m_max + 1)
-        for report in _sup_norm_reports(m, logs.M(m, 0), logs.S(m, m - 1)))
+    ms = range(1, m_max + 1)
+    m0 = np.array([logs.M(m, 0) for m in ms])
+    s_last = np.array([logs.S(m, m - 1) for m in ms])
+    lo, up = np.array([_m0_gamma_bounds(m - 1) for m in ms]).T
+    s_lo = np.array([math.exp(-1.0 / (4.0 * m - 2.0)) for m in ms])
+    s_up = np.array([math.exp(-1.0 / (4.0 * m - 1.0)) for m in ms])
+    table = (_sandwich("dirichlet_sup", ms, lo, m0, up)
+             + _sandwich("s_last", ms[1:], s_lo[1:], s_last[1:], s_up[1:])
+             + _sandwich("neumann_sup", ms[1:], (lo * s_lo)[1:], (s_last * m0)[1:],
+                         (up * s_up)[1:]))
+    # rows by m: dirichlet_sup, s_last, neumann_sup
+    order = np.argsort(table.index, kind="stable")
+    return BoundsTable(tuple(table.check[i] for i in order.tolist()), *(
+        getattr(table, name)[order] for name in _BOUNDS_COLUMNS[1:]))
 
 
 def morse_conjecture(m: int) -> int:

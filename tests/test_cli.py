@@ -1,14 +1,22 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodal import cli
 from nodal import constants as cn
+from nodal import radial_ode as ro
+from nodal.bubbles import bubble_spec, profile_samples
 from nodal.cli import run
+from nodal.verify import convergence_report
 
 
 def _capture(capsys):
@@ -31,6 +39,46 @@ def test_constants_csv_matches_reference(capsys):
     row1 = dict(zip(head, lines[2].split(",")))
     assert row1["theta"] == "10.374"
     assert row1["M0"] == "1.64872"
+
+
+def _constants_rows(m, alpha):
+    """The ``constants`` CSV rows rebuilt one i at a time from the scalar entry points."""
+    theta = cn.theta_sequence(m).theta
+    tab = cn.constant_table(m, alpha)
+    ntab = cn.neumann_constants(m) if m >= 2 else None
+    rows = []
+    for i in range(m + 1):
+        row = [i, f"{theta[i]:.6g}"]
+        if i >= 1:
+            m0 = cn.m0_product_formula(i - 1)
+            row += [f"{m0:.6g}", f"{m0 / math.sqrt(i):.6g}"]
+        else:
+            row += [None, None]
+        row.append(theta[i])
+        row += [tab.R[i] if 1 <= i <= m - 1 else None, tab.S[i] if i <= m - 1 else None,
+                tab.M[i] if i <= m - 1 else None, tab.D[i] if 1 <= i <= m else None]
+        if ntab is not None:
+            row += [ntab.Rbar[i] if 1 <= i <= m - 1 else None,
+                    ntab.Dbar[i] if 1 <= i <= m - 1 else None,
+                    ntab.Sbar[i] if i <= m - 1 else None, ntab.Mbar[i] if i <= m - 1 else None]
+        else:
+            row += [None] * 4
+        if i >= 1:
+            w = cn.whole_plane_limits(i, alpha)
+            row += [w.rho_lim, w.drv_lim, w.delta_lim, w.val_lim]
+        else:
+            row += [None] * 4
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.5])
+@pytest.mark.parametrize("m", [1, 2, 25])
+def test_constants_csv_matches_chain_oracle(capsys, m, alpha):
+    assert run(["constants", "--m", str(m), "--alpha", str(alpha)]) == 0
+    out, _ = _capture(capsys)
+    header = out.split("\n", 1)[0].split(",")
+    assert out == _csv_chain_oracle(header, _constants_rows(m, alpha))
 
 
 def test_constants_deterministic(capsys):
@@ -151,7 +199,7 @@ def test_bounds_json_matches_scalar_oracle(capsys):
 
 
 def test_bounds_csv_builds_no_theta_reports(capsys, monkeypatch):
-    # the theta rows reach the CSV as columns; only the m0 and sup-norm rows are objects
+    # every suite reaches the CSV as columns; no row becomes an object
     built = [0]
     init = cn.BoundsReport.__init__
 
@@ -162,7 +210,7 @@ def test_bounds_csv_builds_no_theta_reports(capsys, monkeypatch):
     monkeypatch.setattr(cn.BoundsReport, "__init__", counting)
     mmax = 10
     assert run(["bounds", "--kmax", "5000", "--mmax", str(mmax)]) == 0
-    assert 0 < built[0] <= 4 * mmax
+    assert built[0] == 0
 
 
 def test_solve_validation_exit_codes(capsys):
@@ -210,6 +258,38 @@ def test_solve_csv_samples(capsys):
     assert abs(u_last) < 1e-8
 
 
+@pytest.mark.parametrize("bc, m", [("plane", 2), ("dirichlet", 3), ("neumann", 3)])
+def test_solve_csv_matches_chain_oracle(capsys, bc, m):
+    assert run(["solve", "--p", "40", "--alpha", "1", "--m", str(m), "--bc", bc,
+                "--samples", "60", "--format", "csv"]) == 0
+    out, _ = _capture(capsys)
+    w = ro.solve_whole_plane(40.0, 1.0, m)
+    sol = {"plane": w, "dirichlet": ro.dirichlet_solution(w, m),
+           "neumann": ro.neumann_solution(w, m)}[bc]
+    samples = sol.to_dict(samples=60)["samples"]
+    header = list(samples)
+    rows = [[samples[name][j] for name in header] for j in range(len(samples[header[0]]))]
+    assert out == _csv_chain_oracle(header, rows)
+
+
+@pytest.mark.parametrize("n", [1, 60, 100_000])
+@pytest.mark.parametrize("bc", ["plane", "dirichlet"])
+def test_solve_csv_prints_min_of_samples_and_nodes(capsys, bc, n):
+    # --samples N prints the stored nodes (those inside the disc, on the disc)
+    # spaced evenly by index: min(N, nodes) rows
+    m = 2
+    assert run(["solve", "--p", "40", "--m", str(m), "--bc", bc, "--samples", str(n),
+                "--format", "csv"]) == 0
+    out, _ = _capture(capsys)
+    w = ro.solve_whole_plane(40.0, 0.0, m)
+    if bc == "plane":
+        nodes = len(w.t)
+    else:
+        nodes = int(np.count_nonzero(w.t <= ro.dirichlet_solution(w, m).log_scale))
+    assert 60 < nodes < 100_000
+    assert out.count("\n") - 1 == min(n, nodes)
+
+
 def test_solve_csv_without_samples_rejected(capsys):
     assert run(["solve", "--p", "40", "--m", "1", "--bc", "dirichlet",
                 "--format", "csv"]) == 1
@@ -235,6 +315,16 @@ def test_verify_csv(capsys):
     assert float(center[0][6]) == pytest.approx(math.exp(0.5), rel=0.05)
 
 
+def test_verify_csv_matches_chain_oracle(capsys):
+    assert run(["verify", "--m", "2", "--alpha", "0.5", "--bc", "neumann", "--p", "40,80"]) == 0
+    out, _ = _capture(capsys)
+    header = ["quantity", "bc", "m", "alpha", "i", "p", "computed", "limit", "abs_err"]
+    rows = [[rep.quantity, rep.bc, rep.m, rep.alpha, rep.i, row.p, row.computed, row.limit,
+             row.abs_err]
+            for rep in convergence_report(2, 0.5, "neumann", [40.0, 80.0]) for row in rep.rows]
+    assert out == _csv_chain_oracle(header, rows)
+
+
 def test_verify_json_extrapolation_block(capsys):
     assert run(["verify", "--m", "1", "--bc", "dirichlet", "--p", "40,80",
                 "--format", "json"]) == 0
@@ -257,6 +347,16 @@ def test_bubble_csv(capsys):
     assert lines[0] == "r,Z,expZ"
     assert len(lines) == 41
     assert "mass" in err  # integral checks reported on the diagnostic stream
+
+
+@pytest.mark.parametrize("i, alpha", [(0, 0.0), (1, 0.0), (3, 1.5)])
+def test_bubble_csv_matches_chain_oracle(capsys, i, alpha):
+    assert run(["bubble", "--i", str(i), "--alpha", str(alpha), "--n", "50"]) == 0
+    out, _ = _capture(capsys)
+    spec = bubble_spec(i, alpha)
+    grid = np.linspace(spec.concentration_radius / 100.0, 10.0 * spec.concentration_radius, 50)
+    rows = [[r, z, ez] for r, z, ez in profile_samples(spec, grid)]
+    assert out == _csv_chain_oracle(["r", "Z", "expZ"], rows)
 
 
 def test_bubble_json_checks(capsys):
@@ -418,7 +518,7 @@ def test_csv_encoder_matches_chain_oracle():
     rng = np.random.default_rng(11)
     rows.append([float(x) for x in rng.normal(0.0, 1e3, 15) * 10.0 ** rng.integers(-300, 300, 15)])
     header = [f"c{j}" for j in range(15)]
-    assert cli._to_csv(header, rows) == _csv_chain_oracle(header, rows)
+    assert cli._to_csv(header, zip(*rows)) == _csv_chain_oracle(header, rows)
 
 
 def test_csv_column_fast_paths_match_chain_oracle():
@@ -436,5 +536,71 @@ def test_csv_column_fast_paths_match_chain_oracle():
     }
     header = list(columns)
     rows = [list(row) for row in zip(*columns.values())]
-    assert cli._to_csv(header, rows) == _csv_chain_oracle(header, rows)
-    assert cli._to_csv(header, []) == _csv_chain_oracle(header, [])
+    assert cli._to_csv(header, columns.values()) == _csv_chain_oracle(header, rows)
+    assert cli._to_csv(header, [[] for _ in header]) == _csv_chain_oracle(header, [])
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _bad_float(out_of_range):
+    return st.one_of(_NON_FINITE, out_of_range)
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+_NEGATIVE = _finite(max_value=-5e-324)
+_NONPOSITIVE = _finite(max_value=0.0)
+_P_OUT = _finite(max_value=1.0)
+_TOL_OUT = st.one_of(_NONPOSITIVE, _finite(min_value=1.0))
+_ALPHA = _bad_float(_NEGATIVE)
+_TOL = _bad_float(_TOL_OUT)
+
+# command -> (valid argv, {numeric option: strategy for an invalid value})
+_CLI_CASES = {
+    "constants": (["--m", "3", "--alpha", "0"],
+                  {"--m": st.integers(max_value=0), "--alpha": _ALPHA}),
+    "bounds": (["--kmax", "3", "--mmax", "3"],
+               {"--kmax": st.integers(max_value=0), "--mmax": st.integers(max_value=0)}),
+    "solve": (["--p", "40", "--alpha", "0", "--m", "2", "--bc", "dirichlet", "--samples", "10",
+               "--tol", "1e-10"],
+              {"--p": _bad_float(_P_OUT), "--alpha": _ALPHA, "--m": st.integers(max_value=0),
+               "--samples": st.integers(max_value=-1), "--tol": _TOL}),
+    "verify": (["--m", "2", "--alpha", "0", "--bc", "dirichlet", "--p", "40,80", "--tol", "1e-10"],
+               {"--m": st.integers(max_value=0), "--alpha": _ALPHA,
+                "--p": _bad_float(_P_OUT).map(lambda p: f"40,{p!r}"), "--tol": _TOL}),
+    "bubble": (["--i", "1", "--alpha", "0", "--rmin", "0.1", "--rmax", "10", "--n", "20"],
+               {"--i": st.integers(max_value=-1), "--alpha": _ALPHA,
+                "--rmin": _bad_float(_NEGATIVE), "--rmax": _bad_float(_NONPOSITIVE),
+                "--n": st.integers(max_value=0)}),
+}
+
+
+def _no_solve(*args):
+    raise AssertionError("a solve started")
+
+
+@pytest.mark.parametrize("command, option",
+                         [(command, option) for command, (_, bad) in _CLI_CASES.items()
+                          for option in bad])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_invalid_numeric_option_exits_1(command, option, data):
+    base, bad = _CLI_CASES[command]
+    value = data.draw(bad[option])
+    text = value if isinstance(value, str) else repr(value)
+    argv = [command, *base]
+    # --opt=value keeps a negative or exponent value from reading as an option
+    argv[argv.index(option):argv.index(option) + 2] = [f"{option}={text}"]
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.object(ro, "_solve_impl", _no_solve),
+          mock.patch.object(ro, "_solve_job", _no_solve),
+          mock.patch.dict("os.environ") as env,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        env.pop("NODAL_TOL", None)
+        code = run(argv)
+    assert code == 1, argv
+    assert out.getvalue() == ""
+    assert any(line.startswith("nodal: error:") for line in err.getvalue().splitlines()), argv

@@ -356,6 +356,15 @@ def test_theta_sandwich_rejects_each_broken_clause():
         assert not cn.theta_bounds_check(k, table).holds, name
 
 
+def test_sandwich_rejects_each_broken_bound():
+    # the one rule behind every bounds suite: lower < value < upper, and the extra clause
+    value = [0.5, 0.0, 1.0, -1.0, 2.0, math.nan, 0.5]
+    also = np.array([True] * 6 + [False])
+    table = cn._sandwich("x", range(1, 8), [0.0] * 7, value, [1.0] * 7, also)
+    assert table.holds.tolist() == [True] + [False] * 6
+    assert table.check == ("x",) * 7 and table.index.tolist() == list(range(1, 8))
+
+
 def test_bounds_tables_yield_plain_rows():
     table = cn.theta_bounds_suite(3) + cn.m0_bounds_suite(3) + cn.sup_norm_bounds_suite(3)
     assert isinstance(table, cn.BoundsTable) and len(table) == 3 + 3 + 7
