@@ -363,8 +363,15 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected argument as ValueError, one ``nodal: error:`` line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nodal",
         description=(
             "Sharp asymptotic constants and radial solutions of planar "
@@ -432,13 +439,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 1
     except (ValueError, OSError) as exc:
         print(f"nodal: error: {exc}", file=sys.stderr)
         return 1

@@ -9,25 +9,22 @@ exponentiated in reported ratios.
 
 Dirichlet, Neumann and Henon solutions in the unit disc are exact
 rescalings of the same whole-plane trajectory, so one integration serves
-every boundary condition at fixed (p, alpha).
+every boundary condition at fixed (p, alpha).  A disc solution is a view
+of that trajectory; its values are scaled to the disc only when read.
 
 The energies are carried as augmented quadrature states.  The
 integration runs in SciPy's compiled DOP853, which hands back only the
-accepted steps.  Its two Python callbacks, the right-hand side and the
-step recorder, work on plain floats (``y.tolist()``): NumPy scalar
-arithmetic cost about 40% of each right-hand-side call (0.92 against
-0.54 us per call on a 2-vCPU VM), for the same doubles.  The step size
-is PI-controlled (Gustafsson, ACM TOMS 17, 1991) with DOP853's
-``beta = 0.04``: the plain controller rejected about 23% as many trial
-steps as it accepted, each rejection costing 11 discarded stages, and
-the stabilized one rejects about 11%.  Zeros and
-critical points are located by root finding on DOP853's 7th-order
-interpolant of the one step that brackets each sign change; the
-interpolant is rebuilt after the fact from the step's endpoints and
-re-evaluated stages (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).
-The same rebuild over every step gives the dense output: built on first
-use, never pickled, evaluated on one vectorized path, on which the
-shell flux integral is a tanh-sinh quadrature that starts at level 5.
+accepted steps.  Its two Python callbacks work on plain floats
+(``y.tolist()``): NumPy scalar arithmetic cost about 40% of each
+right-hand-side call.  The step size is PI-controlled (Gustafsson, ACM
+TOMS 17, 1991) with ``beta = 0.04``, which halves the rejected steps.
+Zeros and critical points are located by root finding on DOP853's
+7th-order interpolant of the one step that brackets each sign change,
+rebuilt after the fact from the step's endpoints and re-evaluated stages
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  The same rebuild
+over every step gives the dense output: built on first use, never
+pickled, evaluated on one vectorized path, on which the shell flux
+integral is a tanh-sinh quadrature that starts at level 5.
 """
 
 from __future__ import annotations
@@ -73,9 +70,6 @@ _EXP_CAP = 100.0
 #: step limit (NMAX) handed to DOP853; a run past it is a SolverError
 _MAX_STEPS = 1_000_000
 
-#: log of the largest double
-_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
-
 #: event-localization tolerance, as in scipy.integrate.solve_ivp
 _EVENT_XTOL = 4.0 * np.finfo(float).eps
 
@@ -83,8 +77,8 @@ _LOG = logging.getLogger("nodal")
 
 
 class SolverError(RuntimeError):
-    """Integration failed (step controller stalled or events missing), or
-    the solution rescaled to the unit disc leaves the double range."""
+    """Integration failed (step controller stalled or events missing), or a
+    value of a disc solution that was read lies beyond the double range."""
 
 
 def default_tolerance() -> float:
@@ -531,16 +525,15 @@ def prefetch_solutions(
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Dirichlet or Neumann radial solution on the unit disc.
+    """Dirichlet or Neumann solution on the unit disc: a view of ``plane``
+    rescaled so that its log-radius ``log_scale`` = L is the unit circle.
 
-    Radii are stored as logs of the ratios to the rescaling radius
-    (``log_scale`` in whole-plane coordinates), so they remain meaningful
-    when the plain ratios underflow.  ``log_zeros`` covers r_1..r_m for
-    Dirichlet (r_m = 1) and the interior zeros r_1..r_(m-1) for Neumann;
-    ``log_crit`` covers the critical points s_1..s_(m-1), with the
-    Neumann boundary critical point s_(m-1) = 1 included as 0.0 and the
-    universal s_0 = 0 implicit.  ``crit_values[i]`` is the signed value
-    u(s_i) for i = 0..m-1.
+    Radii are log-ratios to that radius.  ``log_zeros`` covers r_1..r_m
+    for Dirichlet (r_m = 1) and r_1..r_(m-1) for Neumann; ``log_crit``
+    covers s_1..s_(m-1), the Neumann s_(m-1) = 1 included as 0.0;
+    ``crit_values[i]`` is u(s_i) for i = 0..m-1, s_0 = 0.  Values carry
+    u(0) = e^(kappa L), kappa = (2+alpha)/(p-1), and energies e^(2 kappa L),
+    applied when read; close to p = 1 a read can raise SolverError.
     """
 
     bc: str
@@ -548,19 +541,55 @@ class RadialSolution:
     p: float
     alpha: float
     log_scale: float
-    log_zeros: np.ndarray
-    log_crit: np.ndarray
-    crit_values: np.ndarray
-    deriv_at_zeros: np.ndarray
-    boundary_derivative: float
-    energy_grad: float
-    energy_pot: float
+    #: the plane's state (u, u_t, Eg, Ep) at ``log_scale``
+    _state: np.ndarray = field(repr=False, compare=False)
     plane: WholePlaneSolution = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        for arr in (self.log_zeros, self.log_crit, self.crit_values,
-                    self.deriv_at_zeros):
-            arr.setflags(write=False)
+    def _disc(self, x, k: int = 1, coeff: float = 1.0):
+        """``coeff * e^(k kappa L) * x``, or SolverError where that is not finite."""
+        kappa = (self.alpha + 2.0) / (self.p - 1.0)
+        try:
+            with np.errstate(over="ignore"):
+                out = coeff * math.exp(k * kappa * self.log_scale) * x
+        except OverflowError:
+            out = math.inf
+        if not np.all(np.isfinite(out)):
+            raise SolverError(
+                f"the {self.bc} solution leaves the double range: u(0) = "
+                f"exp({kappa * self.log_scale:.6g}) (p={self.p}, alpha={self.alpha}, m={self.m})")
+        return out
+
+    @property
+    def _n_zeros(self) -> int:
+        return self.m if self.bc == "dirichlet" else self.m - 1
+
+    @property
+    def log_zeros(self) -> np.ndarray:
+        return self.plane.log_zeros[: self._n_zeros] - self.log_scale
+
+    @property
+    def log_crit(self) -> np.ndarray:
+        return self.plane.log_crit[: self.m - 1] - self.log_scale
+
+    @property
+    def crit_values(self) -> np.ndarray:
+        return self._disc(np.concatenate([[1.0], self.plane.crit_states[: self.m - 1, 0]]))
+
+    @property
+    def deriv_at_zeros(self) -> np.ndarray:
+        return self._disc(np.abs(self.plane.zero_states[: self._n_zeros, 1]), coeff=self.p)
+
+    @property
+    def boundary_derivative(self) -> float:
+        return float(self._disc(self._state[1]))
+
+    @property
+    def energy_grad(self) -> float:
+        return float(self._disc(self._state[2], 2, self.p))
+
+    @property
+    def energy_pot(self) -> float:
+        return float(self._disc(self._state[3], 2, self.p))
 
     @property
     def zeros(self) -> np.ndarray:
@@ -575,18 +604,17 @@ class RadialSolution:
     @property
     def amplitude_scale(self) -> float:
         """exp(kappa * log_scale): the factor mapping w-values to u-values."""
-        kappa = (self.alpha + 2.0) / (self.p - 1.0)
-        return math.exp(kappa * self.log_scale)
+        return self._disc(1.0)
 
     def eval_u(self, r):
         """u(r) for r in [0, 1], via the whole-plane dense output (r = 0 is
         t = -inf, where the series gives w = 1 exactly)."""
         r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr < 0.0) or np.any(r_arr > 1.0 + 1e-12):
+        if not np.all((0.0 <= r_arr) & (r_arr <= 1.0 + 1e-12)):
             raise ValueError("eval_u: radii must lie in [0, 1]")
         with np.errstate(divide="ignore"):
             t = self.log_scale + np.log(r_arr)
-        out = self.amplitude_scale * self.plane.eval_u(t)
+        out = self._disc(self.plane.eval_u(t))
         return float(out) if r_arr.ndim == 0 else out
 
     def to_dict(self, samples: int = 0) -> dict:
@@ -608,51 +636,16 @@ class RadialSolution:
             us = self.plane.u[mask]
             idx = np.unique(np.linspace(0, len(ts) - 1, samples).astype(int))
             r = np.exp(ts[idx] - self.log_scale)
-            out["samples"] = {
-                "r": r.tolist(),
-                "u": (self.amplitude_scale * us[idx]).tolist(),
-            }
+            out["samples"] = {"r": r.tolist(), "u": self._disc(us[idx]).tolist()}
         return out
-
-
-def _rescaled(w: WholePlaneSolution, bc: str, m: int, n_zeros: int,
-              L: float, state: np.ndarray) -> RadialSolution:
-    """w rescaled so that log-radius ``L`` becomes the unit circle.
-
-    ``state`` is w's augmented state (u, u_t, energies) at ``L``; the
-    first ``n_zeros`` zeros and the first m-1 critical points are kept.
-    """
-    kappa = (w.alpha + 2.0) / (w.p - 1.0)
-    # the disc solution has u(0) = e^(kappa L); close to p = 1 its energies
-    # p e^(2 kappa L) (Eg, Ep) are beyond the largest double
-    if 2.0 * kappa * L + math.log(w.p * max(state[2], state[3], 1.0)) > _LOG_DOUBLE_MAX:
-        raise SolverError(
-            f"the {bc} solution leaves the double range: u(0) = exp({kappa * L:.6g}) "
-            f"(p={w.p}, alpha={w.alpha}, m={m})")
-    amp = math.exp(kappa * L)
-    pref = w.p * math.exp(2.0 * kappa * L)
-    return RadialSolution(
-        bc=bc,
-        m=m,
-        p=w.p,
-        alpha=w.alpha,
-        log_scale=L,
-        log_zeros=w.log_zeros[:n_zeros] - L,
-        log_crit=w.log_crit[: m - 1] - L,
-        crit_values=np.concatenate([[amp], amp * w.crit_states[: m - 1, 0]]),
-        deriv_at_zeros=w.p * amp * np.abs(w.zero_states[:n_zeros, 1]),
-        boundary_derivative=float(amp * state[1]),
-        energy_grad=float(pref * state[2]),
-        energy_pot=float(pref * state[3]),
-        plane=w,
-    )
 
 
 def dirichlet_solution(w: WholePlaneSolution, m: int) -> RadialSolution:
     """Dirichlet solution with m nodal regions: w rescaled at its m-th zero."""
     if not 1 <= m <= w.m_max:
         raise ValueError(f"dirichlet_solution: m={m} out of range 1..{w.m_max}")
-    return _rescaled(w, "dirichlet", m, m, float(w.log_zeros[m - 1]), w.zero_states[m - 1])
+    return RadialSolution("dirichlet", m, w.p, w.alpha, float(w.log_zeros[m - 1]),
+                          w.zero_states[m - 1], w)
 
 
 def neumann_solution(w: WholePlaneSolution, m: int) -> RadialSolution:
@@ -665,7 +658,8 @@ def neumann_solution(w: WholePlaneSolution, m: int) -> RadialSolution:
         raise ValueError("neumann_solution: m must be >= 2 (solutions are nodal)")
     if m > w.m_max:
         raise ValueError(f"neumann_solution: m={m} out of range 2..{w.m_max}")
-    return _rescaled(w, "neumann", m, m - 1, float(w.log_crit[m - 2]), w.crit_states[m - 2])
+    return RadialSolution("neumann", m, w.p, w.alpha, float(w.log_crit[m - 2]),
+                          w.crit_states[m - 2], w)
 
 
 def energies(sol: RadialSolution) -> tuple[float, float]:
@@ -681,13 +675,15 @@ def pohozaev_residual(sol: RadialSolution) -> float:
     ``p * int_0^1 |u|^(p+1) r^(1+alpha) dr
     = (1 + 1/p) * [p u'(1)]^2 / (2 (2 + alpha))``
     (the classical 1/4 factor at alpha = 0).  Being exact at every p, the
-    residual gauges pure solver accuracy.
+    residual gauges pure solver accuracy.  Both sides carry e^(2 kappa L),
+    so it is formed from the plane's (u_t, Ep) at L, at every p.
     """
     if sol.bc != "dirichlet":
         raise ValueError("pohozaev_residual: defined for Dirichlet solutions")
-    pu1 = sol.p * abs(sol.boundary_derivative)
-    rhs = (1.0 + 1.0 / sol.p) * pu1 * pu1 / (2.0 * (2.0 + sol.alpha))
-    return abs(sol.energy_pot - rhs) / sol.energy_pot
+    _, wt, _, ep = sol._state.tolist()
+    pw1 = sol.p * abs(wt)
+    rhs = (1.0 + 1.0 / sol.p) * pw1 * pw1 / (2.0 * (2.0 + sol.alpha))
+    return abs(sol.p * ep - rhs) / (sol.p * ep)
 
 
 def flux_identity_residual(sol: RadialSolution, s: float, t: float) -> float:
@@ -780,31 +776,30 @@ def rescaled_profile(sol: RadialSolution, i: int, r_grid: np.ndarray) -> Rescale
     if not 0 <= i <= sol.m - 1:
         raise ValueError(f"rescaled_profile: i={i} out of range 0..{sol.m - 1}")
     p, q = sol.p, sol.alpha + 2.0
-    ln_u_crit = math.log(abs(sol.crit_values[i]))
+    # |u(s_i)| = e^(kappa L) |w(delta_i)|, with w(delta_0) = w(0) = 1
+    w_crit = 1.0 if i == 0 else abs(float(sol.plane.crit_states[i - 1, 0]))
+    ln_u_crit = q / (p - 1.0) * sol.log_scale + math.log(w_crit)
     log_eps = (2.0 / q) * math.log(q / 2.0) - (math.log(p) + (p - 1.0) * ln_u_crit) / q
 
     lo_rel = -math.inf if i == 0 else float(sol.log_zeros[i - 1])
     hi_rel = float(sol.log_zeros[i]) if i < len(sol.log_zeros) else 0.0
 
     r = np.asarray(r_grid, dtype=float)
-    if np.any(r < 0.0) or (i >= 1 and np.any(r == 0.0)):
+    if not np.all(r > 0.0 if i >= 1 else r >= 0.0):
         raise ValueError("rescaled_profile: radii must be positive")
     with np.errstate(divide="ignore"):
         log_r_rel = log_eps + np.log(r)
     slack = 1e-9
-    if np.any(log_r_rel < lo_rel - slack) or np.any(log_r_rel > hi_rel + slack):
+    if not np.all((lo_rel - slack <= log_r_rel) & (log_r_rel <= hi_rel + slack)):
         raise ValueError(
             f"rescaled_profile: grid leaves the nodal annulus of region {i} "
             f"(allowed r in [{math.exp(max(lo_rel - log_eps, -700)):.4g}, "
             f"{math.exp(min(hi_rel - log_eps, 700)):.4g}])"
         )
 
-    w_crit = abs(sol.crit_values[i]) / sol.amplitude_scale
     sign = 1.0 if i % 2 == 0 else -1.0
     t_abs = sol.log_scale + log_r_rel
     # r = 0 only occurs for i = 0, at t = -inf, where w(0) = 1 exactly
     w_vals = sol.plane.eval_u(t_abs)
     xi = p * (sign * w_vals - w_crit) / w_crit
-    return RescaledProfile(
-        i=i, log_eps=float(log_eps), samples=np.column_stack([r, xi])
-    )
+    return RescaledProfile(i=i, log_eps=float(log_eps), samples=np.column_stack([r, xi]))

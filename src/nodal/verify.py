@@ -248,7 +248,7 @@ def green_profile_check(sol: RadialSolution, radii: np.ndarray | None = None) ->
     if radii is None:
         radii = np.linspace(0.2, 1.0, 161)
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii < 0.05) or np.any(radii > 1.0):
+    if not np.all((0.05 <= radii) & (radii <= 1.0)):
         raise ValueError("green_profile_check: radii must lie in [0.05, 1]")
     gamma = cn.gamma_alpha_m(sol.alpha, sol.m)
     pu = sol.p * sol.eval_u(radii)

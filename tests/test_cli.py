@@ -578,6 +578,10 @@ _CLI_CASES = {
 }
 
 
+# text no numeric option parses
+_NON_NUMERIC = st.sampled_from(["", "abc", "1e", "0x10", "1.5.2"])
+
+
 def _no_solve(*args):
     raise AssertionError("a solve started")
 
@@ -589,11 +593,15 @@ def _no_solve(*args):
 @given(data=st.data())
 def test_invalid_numeric_option_exits_1(command, option, data):
     base, bad = _CLI_CASES[command]
-    value = data.draw(bad[option])
+    value = data.draw(st.one_of(bad[option], _NON_NUMERIC))
     text = value if isinstance(value, str) else repr(value)
     argv = [command, *base]
-    # --opt=value keeps a negative or exponent value from reading as an option
-    argv[argv.index(option):argv.index(option) + 2] = [f"{option}={text}"]
+    at = argv.index(option)
+    # written apart, a negative exponent form such as -1e-05 reads as an option
+    if data.draw(st.booleans()):
+        argv[at:at + 2] = [f"{option}={text}"]
+    else:
+        argv[at + 1] = text
     out, err = io.StringIO(), io.StringIO()
     with (mock.patch.object(ro, "_solve_impl", _no_solve),
           mock.patch.object(ro, "_solve_job", _no_solve),
@@ -603,4 +611,5 @@ def test_invalid_numeric_option_exits_1(command, option, data):
         code = run(argv)
     assert code == 1, argv
     assert out.getvalue() == ""
-    assert any(line.startswith("nodal: error:") for line in err.getvalue().splitlines()), argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nodal: error:"), (argv, lines)

@@ -34,14 +34,11 @@ def test_solution_properties(params):
     below = np.nextafter(w.t_start, -math.inf)
     assert np.max(np.abs(w.eval_state(w.t_start) - w.eval_state(below))) <= 1e-15
 
-    # the exact Pohozaev identity, unless u(0) = exp(kappa L) on the unit
-    # disc is beyond the double range, which happens only close to p = 1
-    try:
-        d = ro.dirichlet_solution(w, m)
-    except ro.SolverError as exc:
-        assert "double range" in str(exc) and p < 1.1
-    else:
-        assert ro.pohozaev_residual(d) <= 1e-7
+    # the exact Pohozaev identity is scale-free, so it holds even where
+    # u(0) = exp(kappa L) on the unit disc is beyond the double range
+    assert ro.pohozaev_residual(ro.dirichlet_solution(w, m)) <= 1e-7
+    if m >= 2:
+        assert ro.neumann_solution(w, m).log_crit[-1] == 0.0
 
     # the Henon dual path: the alpha = 0 solution mapped by r -> r^((2+alpha)/2)
     if p <= 100.0:

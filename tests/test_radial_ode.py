@@ -13,6 +13,7 @@ import pytest
 from nodal import bubbles as bb
 from nodal import constants as cn
 from nodal import radial_ode as ro
+from nodal import verify as vf
 
 SQRT_E = math.exp(0.5)
 
@@ -485,14 +486,76 @@ def test_rhs_calls_per_stored_step(monkeypatch):
 
 
 def test_disc_rescaling_overflow_is_solver_error():
+    # u(0) = exp(372.7) on the unit disc: both solutions build and every
+    # scale-free quantity is readable; a value past the double range raises
     w = ro.solve_whole_plane(1.03, 19.5, 8)
-    assert w.m_max == 8 and np.all(np.isfinite(w.log_zeros))
     for rescale in (ro.dirichlet_solution, ro.neumann_solution):
+        d = rescale(w, 8)
+        assert math.isfinite(d.log_scale)
+        assert np.all(np.isfinite(d.log_zeros)) and np.all(np.isfinite(d.log_crit))
         with pytest.raises(ro.SolverError, match="leaves the double range"):
-            rescale(w, 8)
+            d.energy_pot
+    assert ro.pohozaev_residual(ro.dirichlet_solution(w, 8)) <= 1e-7
     # the first zero's rescaling still fits: u(0) = exp(kappa ln rho_1) < 1e154
     d = ro.dirichlet_solution(w, 1)
     assert math.isfinite(d.energy_pot) and ro.pohozaev_residual(d) <= 1e-7
+
+
+def _eager_disc_fields(w, bc, m):
+    """The disc fields as once stored: every value scaled when rescaled."""
+    if bc == "dirichlet":
+        n_zeros, L, state = m, float(w.log_zeros[m - 1]), w.zero_states[m - 1]
+    else:
+        n_zeros, L, state = m - 1, float(w.log_crit[m - 2]), w.crit_states[m - 2]
+    kappa = (w.alpha + 2.0) / (w.p - 1.0)
+    amp = math.exp(kappa * L)
+    pref = w.p * math.exp(2.0 * kappa * L)
+    return {
+        "log_scale": L,
+        "log_zeros": w.log_zeros[:n_zeros] - L,
+        "log_crit": w.log_crit[: m - 1] - L,
+        "crit_values": np.concatenate([[amp], amp * w.crit_states[: m - 1, 0]]),
+        "deriv_at_zeros": w.p * amp * np.abs(w.zero_states[:n_zeros, 1]),
+        "boundary_derivative": float(amp * state[1]),
+        "energy_grad": float(pref * state[2]),
+        "energy_pot": float(pref * state[3]),
+        "amplitude_scale": amp,
+    }, amp
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 50.0, 200.0, 1234.5, 1e4])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+def test_disc_view_matches_eager_rescaling(p, alpha):
+    w = ro.solve_whole_plane(p, alpha, 5)
+    for bc, rescale, ms in (("dirichlet", ro.dirichlet_solution, range(1, 6)),
+                            ("neumann", ro.neumann_solution, range(2, 6))):
+        for m in ms:
+            d = rescale(w, m)
+            fields, amp = _eager_disc_fields(w, bc, m)
+            for name, value in fields.items():
+                assert np.array_equal(getattr(d, name), value), (bc, m, name)
+            dump = d.to_dict(samples=40)
+            for name in ("log_zeros", "log_crit", "crit_values"):
+                assert dump[name] == fields[name].tolist(), (bc, m, name)
+            for name in ("boundary_derivative", "energy_grad", "energy_pot"):
+                assert dump[name] == fields[name], (bc, m, name)
+            mask = w.t <= fields["log_scale"]
+            idx = np.unique(np.linspace(0, int(mask.sum()) - 1, 40).astype(int))
+            assert dump["samples"] == {
+                "r": np.exp(w.t[mask][idx] - fields["log_scale"]).tolist(),
+                "u": (amp * w.u[mask][idx]).tolist(),
+            }
+
+
+@pytest.mark.parametrize("check", [
+    lambda d: d.eval_u(np.array([math.nan, 0.5])),
+    lambda d: vf.green_profile_check(d, np.array([math.nan, 0.5])),
+    lambda d: ro.rescaled_profile(d, 1, np.array([math.nan, 1.0])),
+], ids=["eval_u", "green_profile_check", "rescaled_profile"])
+def test_nan_radii_rejected(check):
+    d = ro.dirichlet_solution(ro.solve_whole_plane(150.0, 0.0, 2), 2)
+    with pytest.raises(ValueError):
+        check(d)
 
 
 def test_solution_pickle_is_small_and_dense_free():
