@@ -31,6 +31,9 @@ __all__ = [
     "bubble_pde_residual",
 ]
 
+#: relative tolerance of each half of the mass and split quadratures
+_QUAD_EPSREL = 1e-11
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge; carries the error estimate."""
@@ -73,15 +76,6 @@ class BubbleSpec:
             + (th + 2.0) / (2.0 * th) * math.log(th + 2.0)
             + (th - 2.0) / (2.0 * th) * math.log(th - 2.0)
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "alpha": self.alpha,
-            "theta_i": self.theta_i,
-            "beta_i": self.beta_i,
-            "sigma_i_alpha": self.sigma_i_alpha,
-        }
 
 
 def bubble_spec(i: int, alpha: float = 0.0) -> BubbleSpec:
@@ -147,8 +141,7 @@ def profile_samples(spec: BubbleSpec, r_grid: np.ndarray) -> np.ndarray:
     return np.column_stack([r, z, np.exp(z)])
 
 
-def _integrate_weighted(spec: BubbleSpec, power: float, split: float,
-                        epsrel: float = 1e-11) -> tuple[float, float]:
+def _integrate_weighted(spec: BubbleSpec, power: float, split: float) -> tuple[float, float]:
     """``int_0^inf exp(Z(s)) * s**power ds`` split at ``split``.
 
     The unbounded tail is mapped to (0, 1] by s = split/u, which avoids
@@ -163,7 +156,7 @@ def _integrate_weighted(spec: BubbleSpec, power: float, split: float,
         ex = _profile_from_logr(spec, ln_s) + power * ln_s
         return math.exp(ex) if ex > -700.0 else 0.0
 
-    inner, err_in = quad(f, 0.0, split, epsabs=0.0, epsrel=epsrel, limit=200)
+    inner, err_in = quad(f, 0.0, split, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
 
     def tail(u: float) -> float:
         if u <= 0.0:
@@ -171,7 +164,7 @@ def _integrate_weighted(spec: BubbleSpec, power: float, split: float,
         s = split / u
         return f(s) * split / (u * u)
 
-    outer, err_out = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=epsrel, limit=200)
+    outer, err_out = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
     total = inner + outer
     err = err_in + err_out
     if not math.isfinite(total) or (total != 0 and err / abs(total) > 1e-9):

@@ -1,9 +1,11 @@
 """Command-line front end: constants, bounds, solving, verification, bubbles.
 
 Output is byte-deterministic for identical inputs: JSON floats carry 17
-significant digits, CSV uses comma separators, LF line endings, a header
-row, 17-significant-digit value columns, and (in the constants table)
-6-digit display columns mirroring the usual printed precision.
+significant digits, and a result object (a dataclass) is written as a
+JSON object of its fields in declaration order.  CSV uses comma
+separators, LF line endings, a header row, 17-significant-digit value
+columns, and (in the constants table) 6-digit display columns mirroring
+the usual printed precision.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.  The
 environment variable NODAL_TOL overrides the default solver tolerance.
@@ -12,6 +14,7 @@ environment variable NODAL_TOL overrides the default solver tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import math
 import sys
@@ -54,26 +57,19 @@ def _json_encode(obj, buf: io.StringIO, indent: int = 0) -> None:
     elif isinstance(obj, str):
         buf.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif isinstance(obj, dict):
-        if not obj:
-            buf.write("{}")
-            return
-        buf.write("{\n")
-        items = list(obj.items())
-        for n, (k, v) in enumerate(items):
-            buf.write(pad + "  " + '"' + str(k) + '": ')
+        buf.write("{")
+        for n, (k, v) in enumerate(obj.items()):
+            buf.write((",\n" if n else "\n") + pad + '  "' + str(k) + '": ')
             _json_encode(v, buf, indent + 2)
-            buf.write(",\n" if n + 1 < len(items) else "\n")
-        buf.write(pad + "}")
+        buf.write("\n" + pad + "}" if obj else "}")
+    elif dataclasses.is_dataclass(obj):
+        _json_encode({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, buf, indent)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            buf.write("[]")
-            return
         buf.write("[")
-        for n, v in enumerate(seq):
-            _json_encode(v, buf, indent)
-            if n + 1 < len(seq):
+        for n, v in enumerate(obj):
+            if n:
                 buf.write(", ")
+            _json_encode(v, buf, indent)
         buf.write("]")
     else:
         raise TypeError(f"cannot encode {type(obj)!r}")
@@ -146,9 +142,9 @@ def _cmd_constants(args) -> int:
             "a_seq": th.a_seq,
             "m0_across": m0s,
             "m0_over_sqrt": [m0s[i - 1] / math.sqrt(i) for i in range(1, m + 1)],
-            "dirichlet": table.to_dict(),
-            "neumann": ntab.to_dict() if ntab else None,
-            "whole_plane": [w.to_dict() for w in plane],
+            "dirichlet": table,
+            "neumann": ntab,
+            "whole_plane": plane,
         }
         _emit(_to_json(payload), args.out)
         return 0
@@ -190,7 +186,8 @@ def _cmd_bounds(args) -> int:
     table = (cn.theta_bounds_suite(args.kmax) + cn.m0_bounds_suite(args.mmax)
              + cn.sup_norm_bounds_suite(args.mmax))
     if args.format == "json":
-        _emit(_to_json([r.to_dict() for r in table]), args.out)
+        # one object per report row; the BoundsTable dataclass itself holds columns
+        _emit(_to_json(list(table)), args.out)
         return 0
     header = ["check", "index", "lower", "value", "upper", "holds"]
     *columns, holds = table.columns()
@@ -199,19 +196,20 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _solution(w, bc: str, m: int):
+    """The ``bc`` solution with ``m`` regions read from the whole-plane solve ``w``."""
+    if bc == "plane":
+        return w
+    return (dirichlet_solution if bc == "dirichlet" else neumann_solution)(w, m)
+
+
 def _cmd_solve(args) -> int:
     if args.bc == "neumann" and args.m < 2:
         raise ValueError("solve: Neumann solutions are nodal, m must be >= 2")
     if args.samples < 0:
         raise ValueError(f"solve: --samples must be >= 0 (got {args.samples})")
     w = solve_whole_plane(args.p, args.alpha, args.m, args.tol)
-    if args.bc == "plane":
-        sol = w
-    elif args.bc == "dirichlet":
-        sol = dirichlet_solution(w, args.m)
-    else:
-        sol = neumann_solution(w, args.m)
-    sol_dict = sol.to_dict(samples=args.samples)
+    sol_dict = _solution(w, args.bc, args.m).to_dict(samples=args.samples)
     if args.format == "json":
         _emit(_to_json(sol_dict), args.out)
         return 0
@@ -225,7 +223,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     reports = convergence_report(args.m, args.alpha, args.bc, args.p, args.tol)
     if args.format == "json":
-        _emit(_to_json([r.to_dict() for r in reports]), args.out)
+        _emit(_to_json(reports), args.out)
         return 0
     header = ["quantity", "bc", "m", "alpha", "i", "p", "computed", "limit", "abs_err"]
     rows = [[rep.quantity, rep.bc, rep.m, rep.alpha, rep.i,
@@ -268,7 +266,7 @@ def _cmd_bubble(args) -> int:
         }
     if args.format == "json":
         payload = {
-            "spec": spec.to_dict(),
+            "spec": spec,
             "checks": checks,
             "samples": [list(row) for row in samples],
         }
@@ -343,13 +341,7 @@ def _cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     index = []
     for bc, m, alpha, p in combos:
-        w = solve_whole_plane(p, alpha, m, tol)
-        if bc == "plane":
-            payload = w.to_dict()
-        elif bc == "dirichlet":
-            payload = dirichlet_solution(w, m).to_dict()
-        else:
-            payload = neumann_solution(w, m).to_dict()
+        payload = _solution(solve_whole_plane(p, alpha, m, tol), bc, m).to_dict()
         name = f"solve_{bc}_m{m}_alpha{_fmt(alpha, 6)}_p{_fmt(p, 6)}.json"
         (out_dir / name).write_text(_to_json(payload), encoding="utf-8", newline="")
         index.append(name)
@@ -368,6 +360,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ValueError(message)
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops "--" from an explicit ``--opt=--`` and would store []
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,3 +452,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

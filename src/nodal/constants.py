@@ -146,13 +146,6 @@ class ThetaTable:
         _freeze(self.theta)
         _freeze(self.a_seq)
 
-    def to_dict(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "theta": self.theta.tolist(),
-            "a_seq": self.a_seq.tolist(),
-        }
-
 
 def theta_sequence(k_max: int) -> ThetaTable:
     """Compute ``theta_0 .. theta_k_max`` together with the a_seq oracle."""
@@ -194,16 +187,6 @@ class ConstantTable:
     def __post_init__(self) -> None:
         for arr in (self.R, self.S, self.M, self.D):
             _freeze(arr)
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "alpha": self.alpha,
-            "R": self.R.tolist(),
-            "S": self.S.tolist(),
-            "M": self.M.tolist(),
-            "D": self.D.tolist(),
-        }
 
 
 class _TableLogs:
@@ -350,15 +333,6 @@ class NeumannConstantTable:
         for arr in (self.Rbar, self.Dbar, self.Sbar, self.Mbar):
             _freeze(arr)
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "Rbar": self.Rbar.tolist(),
-            "Dbar": self.Dbar.tolist(),
-            "Sbar": self.Sbar.tolist(),
-            "Mbar": self.Mbar.tolist(),
-        }
-
 
 def neumann_constants(m: int, table: ConstantTable | None = None) -> NeumannConstantTable:
     """Neumann variant of :func:`constant_table` (requires m >= 2).
@@ -394,16 +368,6 @@ class WholePlaneLimits:
     drv_lim: float
     delta_lim: float
     val_lim: float
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "alpha": self.alpha,
-            "rho_lim": self.rho_lim,
-            "drv_lim": self.drv_lim,
-            "delta_lim": self.delta_lim,
-            "val_lim": self.val_lim,
-        }
 
 
 def whole_plane_limits(m: int, alpha: float = 0.0) -> WholePlaneLimits:
@@ -478,16 +442,6 @@ class BoundsReport:
     value: float
     upper: float
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "index": self.index,
-            "lower": self.lower,
-            "value": self.value,
-            "upper": self.upper,
-            "holds": self.holds,
-        }
 
 
 _BOUNDS_COLUMNS = ("check", "index", "lower", "value", "upper", "holds")

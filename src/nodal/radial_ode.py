@@ -759,11 +759,6 @@ class RescaledProfile:
     def __post_init__(self) -> None:
         self.samples.setflags(write=False)
 
-    @property
-    def eps(self) -> float:
-        """May underflow to 0 for extreme p; use log_eps then."""
-        return math.exp(self.log_eps)
-
 
 def rescaled_profile(sol: RadialSolution, i: int, r_grid: np.ndarray) -> RescaledProfile:
     """Rescale the i-th nodal region of ``sol`` onto its concentration scale.

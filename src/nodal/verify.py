@@ -36,24 +36,18 @@ __all__ = [
     "richardson_extrapolate",
 ]
 
+#: grid points on the compact interval of a bubble convergence check
+_BUBBLE_POINTS = 400
+
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """One finite-p value next to its limit; ``abs_err`` is ``|computed - limit|``."""
+
     p: float
     computed: float
     limit: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.computed - self.limit)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "computed": self.computed,
-            "limit": self.limit,
-            "abs_err": self.abs_err,
-        }
+    abs_err: float
 
 
 @dataclass(frozen=True)
@@ -76,19 +70,6 @@ class ConvergenceReport:
     extrapolated: float
     rate: float
     monotone: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "bc": self.bc,
-            "m": self.m,
-            "alpha": self.alpha,
-            "i": self.i,
-            "rows": [r.to_dict() for r in self.rows],
-            "extrapolated": self.extrapolated,
-            "rate": self.rate,
-            "monotone": self.monotone,
-        }
 
 
 def richardson_extrapolate(rows: list[tuple[float, float]]) -> float:
@@ -214,7 +195,8 @@ def convergence_report(
         else:
             tracked = _tracked_plane(w, m, tab)
         for key, (val, lim) in tracked.items():
-            per_key.setdefault(key, []).append(ConvergenceRow(p, float(val), float(lim)))
+            val, lim = float(val), float(lim)
+            per_key.setdefault(key, []).append(ConvergenceRow(p, val, lim, abs(val - lim)))
 
     reports = []
     for (quantity, i), rows in per_key.items():
@@ -271,22 +253,11 @@ class BubbleCheck:
     sigma: float
     eps_over_next: float
 
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "sup_err": self.sup_err,
-            "r_over_eps": self.r_over_eps,
-            "s_over_eps": self.s_over_eps,
-            "sigma": self.sigma,
-            "eps_over_next": self.eps_over_next,
-        }
-
 
 def bubble_convergence_check(
     sol: RadialSolution,
     i: int,
     compact_interval: tuple[float, float] | None = None,
-    n_points: int = 400,
 ) -> BubbleCheck:
     """Compare the i-th rescaled nodal region against its limit bubble.
 
@@ -302,7 +273,7 @@ def bubble_convergence_check(
         lo, hi = compact_interval
     if not 0.0 < lo < hi:
         raise ValueError("bubble_convergence_check: need 0 < lo < hi")
-    grid = np.linspace(lo, hi, n_points)
+    grid = np.linspace(lo, hi, _BUBBLE_POINTS)
     prof = rescaled_profile(sol, i, grid)
     z = bubble_profile(spec, grid)
     sup_err = float(np.max(np.abs(prof.samples[:, 1] - z)))

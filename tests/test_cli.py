@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +21,7 @@ from nodal import constants as cn
 from nodal import radial_ode as ro
 from nodal.bubbles import bubble_spec, profile_samples
 from nodal.cli import run
-from nodal.verify import convergence_report
+from nodal.verify import BubbleCheck, convergence_report
 
 
 def _capture(capsys):
@@ -195,7 +200,7 @@ def test_bounds_csv_matches_scalar_oracle(capsys, kmax, mmax):
 def test_bounds_json_matches_scalar_oracle(capsys):
     assert run(["bounds", "--kmax", "2", "--mmax", "3", "--format", "json"]) == 0
     out, _ = _capture(capsys)
-    assert out == cli._to_json([r.to_dict() for r in _scalar_bounds_rows(2, 3)])
+    assert out == cli._to_json(_scalar_bounds_rows(2, 3))
 
 
 def test_bounds_csv_builds_no_theta_reports(capsys, monkeypatch):
@@ -370,6 +375,63 @@ def test_bubble_json_checks(capsys):
     assert len(doc["samples"]) == 200
 
 
+# each result's JSON keys, in order: the schema every command has printed
+_KEYS = {
+    "ThetaTable": ["k_max", "theta", "a_seq"],
+    "ConstantTable": ["m", "alpha", "R", "S", "M", "D"],
+    "NeumannConstantTable": ["m", "Rbar", "Dbar", "Sbar", "Mbar"],
+    "WholePlaneLimits": ["m", "alpha", "rho_lim", "drv_lim", "delta_lim", "val_lim"],
+    "BoundsReport": ["check", "index", "lower", "value", "upper", "holds"],
+    "BubbleSpec": ["i", "alpha", "theta_i", "beta_i", "sigma_i_alpha"],
+    "ConvergenceRow": ["p", "computed", "limit", "abs_err"],
+    "ConvergenceReport": ["quantity", "bc", "m", "alpha", "i", "rows", "extrapolated", "rate",
+                          "monotone"],
+    "BubbleCheck": ["i", "sup_err", "r_over_eps", "s_over_eps", "sigma", "eps_over_next"],
+}
+
+
+def _json_pairs(capsys, argv):
+    """The command's JSON output with every object as a list of (key, value) pairs."""
+    assert run([*argv, "--format", "json"]) == 0
+    out, _ = _capture(capsys)
+    return json.loads(out, object_pairs_hook=list)
+
+
+def _keys(pairs):
+    return [k for k, _ in pairs]
+
+
+def test_json_schema_key_order(capsys):
+    doc = dict(_json_pairs(capsys, ["constants", "--m", "3", "--alpha", "1"]))
+    assert list(doc) == ["m", "alpha", "theta", "a_seq", "m0_across", "m0_over_sqrt",
+                         "dirichlet", "neumann", "whole_plane"]
+    assert _keys(doc["dirichlet"]) == _KEYS["ConstantTable"]
+    assert _keys(doc["neumann"]) == _KEYS["NeumannConstantTable"]
+    assert [_keys(w) for w in doc["whole_plane"]] == [_KEYS["WholePlaneLimits"]] * 3
+
+    reports = _json_pairs(capsys, ["bounds", "--kmax", "2", "--mmax", "3"])
+    assert len(reports) > 5
+    assert all(_keys(r) == _KEYS["BoundsReport"] for r in reports)
+
+    reports = _json_pairs(capsys, ["verify", "--m", "2", "--bc", "dirichlet", "--p", "40,80"])
+    assert reports and all(_keys(r) == _KEYS["ConvergenceReport"] for r in reports)
+    rows = [row for r in reports for row in dict(r)["rows"]]
+    assert len(rows) == 2 * len(reports)
+    assert all(_keys(row) == _KEYS["ConvergenceRow"] for row in rows)
+
+    doc = dict(_json_pairs(capsys, ["bubble", "--i", "1", "--n", "3"]))
+    assert list(doc) == ["spec", "checks", "samples"]
+    assert _keys(doc["spec"]) == _KEYS["BubbleSpec"]
+    checks = dict(doc["checks"])
+    assert list(checks) == ["mass", "split"]
+    assert _keys(checks["mass"]) == ["computed", "expected", "rel_err"]
+    assert _keys(checks["split"]) == ["inner", "inner_expected", "outer", "outer_expected"]
+
+    # no command prints these two; the rule writes their fields in this order
+    for cls in (cn.ThetaTable, BubbleCheck):
+        assert [f.name for f in dataclasses.fields(cls)] == _KEYS[cls.__name__]
+
+
 def test_bubble_validation(capsys):
     assert run(["bubble", "--i", "-1"]) == 1
     assert run(["bubble", "--i", "1", "--rmin", "5", "--rmax", "2"]) == 1
@@ -438,6 +500,16 @@ def test_sweep_nonpositive_workers_rejected(tmp_path, capsys, workers):
     _, err = _capture(capsys)
     assert f"nodal: error: prefetch_solutions: workers must be >= 1 (got {workers})" in err
     assert not out_dir.exists()
+
+
+def test_module_entry_point_runs_cli(capsys):
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "nodal.cli", "constants", "--m", "3"],
+                          capture_output=True, env=env, check=False)
+    assert run(["constants", "--m", "3"]) == 0
+    out, _ = _capture(capsys)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
 
 
 def test_out_file_written(tmp_path, capsys):
@@ -575,7 +647,40 @@ _CLI_CASES = {
                {"--i": st.integers(max_value=-1), "--alpha": _ALPHA,
                 "--rmin": _bad_float(_NEGATIVE), "--rmax": _bad_float(_NONPOSITIVE),
                 "--n": st.integers(max_value=0)}),
+    # SWEEP_CFG stands for a valid config file; --out cannot be rejected without solving
+    "sweep": (["--config", "SWEEP_CFG", "--out", "SWEEP_OUT", "--workers", "1"],
+              {"--config": st.just("missing.cfg"), "--workers": st.integers(max_value=0)}),
 }
+
+# every option of every command
+_OPTIONS = {
+    "constants": ["--m", "--alpha", "--format", "--out"],
+    "bounds": ["--kmax", "--mmax", "--format", "--out"],
+    "solve": ["--p", "--alpha", "--m", "--bc", "--samples", "--tol", "--format", "--out"],
+    "verify": ["--m", "--alpha", "--bc", "--p", "--tol", "--format", "--out"],
+    "bubble": ["--i", "--alpha", "--rmin", "--rmax", "--n", "--format", "--out"],
+    "sweep": ["--config", "--out", "--workers"],
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    cfg = root / "sweep.cfg"
+    cfg.write_text("p = 30\nm = 2\nalpha = 0\nbc = dirichlet\n", encoding="utf-8")
+    return {"SWEEP_CFG": str(cfg), "SWEEP_OUT": str(root / "out")}
+
+
+def _run_unsolved(argv):
+    """``run(argv)`` with every solve an error and NODAL_TOL unset: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.object(ro, "_solve_impl", _no_solve),
+          mock.patch.object(ro, "_solve_job", _no_solve),
+          mock.patch.dict("os.environ") as env,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        env.pop("NODAL_TOL", None)
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 # text no numeric option parses
@@ -591,25 +696,31 @@ def _no_solve(*args):
                           for option in bad])
 @settings(max_examples=10)
 @given(data=st.data())
-def test_invalid_numeric_option_exits_1(command, option, data):
+def test_invalid_numeric_option_exits_1(sweep_paths, command, option, data):
     base, bad = _CLI_CASES[command]
-    value = data.draw(st.one_of(bad[option], _NON_NUMERIC))
+    value = data.draw(st.one_of(bad[option], _NON_NUMERIC, st.just("--")))
     text = value if isinstance(value, str) else repr(value)
-    argv = [command, *base]
+    argv = [command, *(sweep_paths.get(a, a) for a in base)]
     at = argv.index(option)
-    # written apart, a negative exponent form such as -1e-05 reads as an option
-    if data.draw(st.booleans()):
+    # written apart, a negative exponent form such as -1e-05 reads as an option,
+    # and "--" ends the options
+    if text == "--" or data.draw(st.booleans()):
         argv[at:at + 2] = [f"{option}={text}"]
     else:
         argv[at + 1] = text
-    out, err = io.StringIO(), io.StringIO()
-    with (mock.patch.object(ro, "_solve_impl", _no_solve),
-          mock.patch.object(ro, "_solve_job", _no_solve),
-          mock.patch.dict("os.environ") as env,
-          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
-        env.pop("NODAL_TOL", None)
-        code = run(argv)
+    code, out, err = _run_unsolved(argv)
     assert code == 1, argv
-    assert out.getvalue() == ""
-    lines = err.getvalue().splitlines()
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("nodal: error:"), (argv, lines)
+
+
+@pytest.mark.parametrize("command, option",
+                         [(command, option) for command, options in _OPTIONS.items()
+                          for option in options])
+def test_double_dash_value_exits_1(sweep_paths, command, option):
+    base, _ = _CLI_CASES[command]
+    # appended to a valid argv, "--opt=--" is its only fault
+    argv = [command, *(sweep_paths.get(a, a) for a in base), f"{option}=--"]
+    message = f"nodal: error: argument {option}: expected one argument\n"
+    assert _run_unsolved(argv) == (1, "", message)
