@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import math
 import sys
@@ -352,7 +353,10 @@ def _cmd_sweep(args) -> int:
 # ----------------------------------------------------------------- parser
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("no exponent given")
+    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -368,7 +372,9 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each parse makes a new namespace."""
     parser = _Parser(
         prog="nodal",
         description=(

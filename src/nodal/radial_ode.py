@@ -25,6 +25,11 @@ rebuilt after the fact from the step's endpoints and re-evaluated stages
 over every step gives the dense output: built on first use, never
 pickled, evaluated on one vectorized path, on which the shell flux
 integral is a tanh-sinh quadrature that starts at level 5.
+
+Batches of solves (:func:`prefetch_solutions`) share one process pool
+per process: forked by the first batch that needs more than one worker,
+reused by later batches, replaced when a batch asks for another worker
+count or when the pool breaks, and shut down at interpreter exit.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ from __future__ import annotations
 import logging
 import math
 import os
+import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -486,6 +492,56 @@ def _solve_job(key: tuple) -> tuple[tuple, WholePlaneSolution]:
     return key, _solve_impl(*key)
 
 
+#: the process's one solve pool and its worker count (see prefetch_solutions);
+#: a batch holds the lock until its jobs have ended
+_POOL: ProcessPoolExecutor | None = None
+_POOL_WORKERS = 0
+_POOL_LOCK = threading.Lock()
+
+
+def _close_pool() -> None:
+    """Shut the solve pool down, waiting for its workers; the next batch forks anew."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown()
+
+
+def _solve_on_pool(keys: list[tuple], workers: int) -> str | None:
+    """Solve ``keys`` on the solve pool, caching the results in key order up
+    to the first solve error, which is raised once every job has ended.
+
+    Returns None, or why the batch must run sequentially: the pool could
+    not be had or broke.
+    """
+    global _POOL, _POOL_WORKERS
+    pool_errors = (OSError, NotImplementedError, BrokenProcessPool)
+    with _POOL_LOCK:
+        failure = None
+        try:
+            reused = _POOL is not None and _POOL_WORKERS == workers
+            if not reused:
+                _close_pool()  # first, so no other pool's threads run while workers fork
+                _POOL, _POOL_WORKERS = ProcessPoolExecutor(max_workers=workers), workers
+            futures = [_POOL.submit(_solve_job, key) for key in keys]
+            wait(futures)
+            for future in futures:
+                failure = future.exception()
+                if failure is not None:
+                    break
+                _cache_put(*future.result())
+        except pool_errors as exc:
+            failure = exc
+        if isinstance(failure, pool_errors):
+            _close_pool()
+            return f"process pool unavailable or broken, {type(failure).__name__}: {failure}"
+    _LOG.debug("prefetch_solutions: %d jobs on the %s pool of %d workers",
+               len(keys), "reused" if reused else "newly forked", workers)
+    if failure is not None:
+        raise failure
+    return None
+
+
 def prefetch_solutions(
     params: list[tuple[float, float, int]],
     tol: float | None = None,
@@ -494,11 +550,19 @@ def prefetch_solutions(
     """Solve a batch of (p, alpha, m_max) jobs, concurrently when possible.
 
     Results land in the memo cache used by :func:`solve_whole_plane`, in a
-    deterministic order keyed by the inputs.  Errors raised by a solve
-    propagate unchanged.  Only when a process pool cannot be created or
-    breaks does the batch fall back to sequential solving; each fallback
-    is logged at DEBUG on the ``nodal`` logger.  ``workers`` defaults to
-    one per job up to the CPU count; it must be >= 1.
+    deterministic order keyed by the inputs, once every job of the batch
+    has ended.  Errors raised by a solve propagate unchanged, the first in
+    key order.  ``workers`` defaults to one per job up to the CPU count; it
+    must be >= 1.
+
+    A batch with more than one worker runs on the process's one solve
+    pool: forked by the first such batch and reused by later ones,
+    replaced when a batch asks for another worker count, dropped when it
+    breaks, and shut down at interpreter exit.  A batch whose pool cannot
+    be created or breaks is solved sequentially, and the next batch forks
+    a new pool.  Each batch logs one DEBUG record on the ``nodal`` logger:
+    its job count and whether it reused the pool, forked a new one, or ran
+    sequentially, and why.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"prefetch_solutions: workers must be >= 1 (got {workers})")
@@ -509,15 +573,10 @@ def prefetch_solutions(
         return
     if workers is None:
         workers = min(len(keys), os.cpu_count() or 1)
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for key, sol in pool.map(_solve_job, keys):
-                    _cache_put(key, sol)
-            return
-        except (OSError, NotImplementedError, BrokenProcessPool) as exc:
-            _LOG.debug("prefetch_solutions: process pool unavailable (%s: %s); "
-                       "solving %d jobs sequentially", type(exc).__name__, exc, len(keys))
+    reason = _solve_on_pool(keys, workers) if workers > 1 else "one worker"
+    if reason is None:
+        return
+    _LOG.debug("prefetch_solutions: %d jobs sequentially (%s)", len(keys), reason)
     for key in keys:
         if key not in _CACHE:
             _cache_put(key, _solve_impl(*key))

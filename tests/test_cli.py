@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -510,6 +511,40 @@ def test_module_entry_point_runs_cli(capsys):
     assert run(["constants", "--m", "3"]) == 0
     out, _ = _capture(capsys)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+
+# one process runs these in turn; both bubble runs fill in their default rmin/rmax
+_IN_PROCESS_ARGVS = [
+    ["bubble", "--i", "1", "--n", "5"],
+    ["--help"],
+    ["bubble", "--i", "2", "--alpha", "1", "--n", "4", "--format", "json"],
+    ["solve", "--p", "40", "--m", "2", "--bc", "disc"],
+    ["verify", "--help"],
+]
+
+
+def test_repeated_runs_match_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of this process
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "nodal.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        expected = list(pool.map(fresh, _IN_PROCESS_ARGVS))
+    for argv, want in zip(_IN_PROCESS_ARGVS, expected):
+        code = run(argv)
+        assert (code, *_capture(capsys)) == want, argv
+    assert [code for code, _, _ in expected] == [0, 0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("p_arg", [["--p", ","], ["--p=,"]])
+def test_verify_empty_p_list_rejected(p_arg):
+    argv = ["verify", "--m", "2", "--bc", "dirichlet", *p_arg]
+    assert _run_unsolved(argv) == (1, "", "nodal: error: argument --p: no exponent given\n")
 
 
 def test_out_file_written(tmp_path, capsys):

@@ -3,7 +3,12 @@
 import gc
 import logging
 import math
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 
@@ -591,7 +596,16 @@ def test_step_limit_raises_solver_error(monkeypatch):
             ro.solve_whole_plane(77.5, 0.0, 2)
 
 
-def test_prefetch_propagates_worker_errors(monkeypatch, tmp_path):
+@pytest.fixture
+def closed_pool():
+    """No solve pool across the test: a pool forked earlier would not see the
+    test's patches, and one forked during it would keep them."""
+    ro._close_pool()
+    yield
+    ro._close_pool()
+
+
+def test_prefetch_propagates_worker_errors(closed_pool, monkeypatch, tmp_path):
     log = tmp_path / "calls.txt"
 
     def failing_solve(p, alpha, m_max, tol):
@@ -618,7 +632,7 @@ def test_prefetch_rejects_nonpositive_workers(workers):
     assert (96.5, 0.0, 1, ro.default_tolerance()) not in ro._CACHE
 
 
-def test_prefetch_falls_back_when_pool_unavailable(monkeypatch, caplog):
+def test_prefetch_falls_back_when_pool_unavailable(closed_pool, monkeypatch, caplog):
     def no_pool(*args, **kwargs):
         raise NotImplementedError("no process support")
 
@@ -629,6 +643,100 @@ def test_prefetch_falls_back_when_pool_unavailable(monkeypatch, caplog):
     assert "NotImplementedError: no process support" in caplog.text
     for p, alpha, m in params:
         assert (p, alpha, m, ro.default_tolerance()) in ro._CACHE
+
+
+def _batch_records(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "nodal"]
+
+
+def _assert_same_solution(a, b) -> None:
+    for name in ("t", "u", "ut", "log_zeros", "zero_states", "log_crit", "crit_states"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_prefetch_reuses_pool_workers(closed_pool, caplog):
+    with caplog.at_level(logging.DEBUG, logger="nodal"):
+        ro.prefetch_solutions([(101.5, 0.0, 1), (102.5, 0.0, 1)], workers=2)
+        pool, first = ro._POOL, set(ro._POOL._processes)
+        ro.prefetch_solutions([(103.5, 0.0, 1), (104.5, 0.0, 1), (105.5, 0.0, 1)], workers=2)
+        ro.prefetch_solutions([(106.5, 0.0, 1), (107.5, 0.0, 1)], workers=1)
+    assert ro._POOL is pool and set(pool._processes) == first and len(first) == 2
+    assert _batch_records(caplog) == [
+        "prefetch_solutions: 2 jobs on the newly forked pool of 2 workers",
+        "prefetch_solutions: 3 jobs on the reused pool of 2 workers",
+        "prefetch_solutions: 2 jobs sequentially (one worker)",
+    ]
+    for p in (101.5, 102.5, 103.5, 104.5, 105.5, 106.5, 107.5):
+        assert (p, 0.0, 1, ro.default_tolerance()) in ro._CACHE
+
+
+def test_prefetch_replaces_pool_on_new_worker_count(closed_pool, caplog):
+    ro.prefetch_solutions([(108.5, 0.0, 1), (109.5, 0.0, 1)], workers=2)
+    pool = ro._POOL
+    with caplog.at_level(logging.DEBUG, logger="nodal"):
+        ro.prefetch_solutions([(110.5, 0.0, 1), (111.5, 0.0, 1), (112.5, 0.0, 1)], workers=3)
+    assert ro._POOL is not pool and len(ro._POOL._processes) == 3
+    assert _batch_records(caplog) == [
+        "prefetch_solutions: 3 jobs on the newly forked pool of 3 workers"]
+
+
+def test_prefetch_recovers_from_killed_worker(closed_pool, caplog):
+    ro.prefetch_solutions([(113.5, 0.0, 2), (114.5, 0.0, 2)], workers=2)
+    pool = ro._POOL
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    # let the pool notice, so the next batch meets it broken
+    deadline = time.monotonic() + 30.0
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    params = [(115.5, 0.0, 2), (116.5, 0.0, 2)]
+    keys = [(p, alpha, m, ro.default_tolerance()) for p, alpha, m in params]
+    with caplog.at_level(logging.DEBUG, logger="nodal"):
+        ro.prefetch_solutions(params, workers=2)
+        [broken] = _batch_records(caplog)
+        ro.prefetch_solutions([(117.5, 0.0, 2), (118.5, 0.0, 2)], workers=2)
+    assert broken.startswith("prefetch_solutions: 2 jobs sequentially (process pool "
+                             "unavailable or broken, BrokenProcessPool: ")
+    for key in keys:
+        _assert_same_solution(ro._CACHE[key], ro._solve_impl(*key))
+    assert _batch_records(caplog)[1:] == [
+        "prefetch_solutions: 2 jobs on the newly forked pool of 2 workers"]
+    assert ro._POOL is not pool and len(ro._POOL._processes) == 2
+
+
+_POOL_PIDS_SCRIPT = """
+import sys
+from nodal import cli, radial_ode as ro
+code = cli.run(["verify", "--m", "2", "--bc", "plane", "--p", "40,80", "--out", sys.argv[1]])
+print(*ro._POOL._processes)
+sys.exit(code)
+"""
+
+
+def _proc_state(pid: str) -> str | None:
+    """The state letter of a process, or None when it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return None
+    return stat.rpartition(")")[2].split()[0]  # after the parenthesized name
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="verify forks no pool on one CPU")
+def test_pool_workers_end_with_their_process(tmp_path):
+    src = os.path.dirname(os.path.dirname(ro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # output goes to a file: a worker outliving the process would hold a pipe open
+    log = tmp_path / "out.txt"
+    with open(log, "w") as fh:
+        proc = subprocess.run([sys.executable, "-c", _POOL_PIDS_SCRIPT, str(tmp_path / "report.csv")],
+                              stdout=fh, stderr=fh, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, log.read_text()
+    states = {pid: _proc_state(pid) for pid in log.read_text().split()}
+    for pid, state in states.items():
+        if state not in (None, "Z"):
+            os.kill(int(pid), signal.SIGKILL)  # leave no orphan behind a failed run
+    assert len(states) == 2 and set(states.values()) <= {None, "Z"}, states
 
 
 def test_repeated_solves_release_their_steps():
