@@ -7,8 +7,7 @@ separators, LF line endings, a header row, 17-significant-digit value
 columns, and (in the constants table) 6-digit display columns mirroring
 the usual printed precision.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure.  The
-environment variable NODAL_TOL overrides the default solver tolerance.
+Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -334,15 +333,13 @@ def _cmd_sweep(args) -> int:
     for bc, m, alpha, p in combos:
         if bc == "neumann" and m < 2:
             raise ValueError(f"sweep: m={m} invalid for bc={bc}")
-    prefetch_solutions(
-        sorted({(p, alpha, m) for bc, m, alpha, p in combos}),
-        tol, workers=args.workers,
-    )
+    sols = prefetch_solutions([(p, alpha, m) for bc, m, alpha, p in combos], tol,
+                              workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = []
-    for bc, m, alpha, p in combos:
-        payload = _solution(solve_whole_plane(p, alpha, m, tol), bc, m).to_dict()
+    for (bc, m, alpha, p), w in zip(combos, sols):
+        payload = _solution(w, bc, m).to_dict()
         name = f"solve_{bc}_m{m}_alpha{_fmt(alpha, 6)}_p{_fmt(p, 6)}.json"
         (out_dir / name).write_text(_to_json(payload), encoding="utf-8", newline="")
         index.append(name)

@@ -26,20 +26,25 @@ over every step gives the dense output: built on first use, never
 pickled, evaluated on one vectorized path, on which the shell flux
 integral is a tanh-sinh quadrature that starts at level 5.
 
-Batches of solves (:func:`prefetch_solutions`) share one process pool
-per process: forked by the first batch that needs more than one worker,
-reused by later batches, replaced when a batch asks for another worker
-count or when the pool breaks, and shut down at interpreter exit.
+Every solve goes through :func:`prefetch_solutions`, which returns its
+solutions and is the one place that writes the memo;
+:func:`solve_whole_plane` is a batch of one.  Batches share one process
+pool per process: forked by the first batch that needs more than one
+worker, reused by later batches, replaced when a batch asks for another
+worker count or when the pool breaks, and shut down at interpreter exit
+(a worker whose parent process has gone exits too).
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
 import threading
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -88,16 +93,7 @@ class SolverError(RuntimeError):
 
 
 def default_tolerance() -> float:
-    """Default solver tolerance; NODAL_TOL in the environment overrides."""
-    env = os.environ.get("NODAL_TOL")
-    if env:
-        try:
-            tol = float(env)
-        except ValueError as exc:
-            raise ValueError(f"NODAL_TOL is not a float: {env!r}") from exc
-        if not 0.0 < tol < 1.0:
-            raise ValueError(f"NODAL_TOL out of range (0, 1): {tol!r}")
-        return tol
+    """Default solver tolerance."""
     return 1e-10
 
 
@@ -306,14 +302,6 @@ class _DenseOutput:
         return (self.y0[k] + (np.concatenate(_basis(x), axis=2) @ self.f[k])[:, 0]).T
 
 
-def _resolve_tol(tol: float | None) -> float:
-    if tol is None:
-        return default_tolerance()
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol out of range (0, 1): {tol!r}")
-    return float(tol)
-
-
 def _solve_key(p: float, alpha: float, m_max: int, tol: float) -> tuple:
     """Validated memo key (p, alpha, m_max, tol) of one whole-plane solve."""
     if not math.isfinite(p):
@@ -330,12 +318,6 @@ _CACHE: dict[tuple, WholePlaneSolution] = {}
 _CACHE_MAX = 64
 
 
-def _cache_put(key: tuple, sol: WholePlaneSolution) -> None:
-    if len(_CACHE) >= _CACHE_MAX:
-        _CACHE.pop(next(iter(_CACHE)))
-    _CACHE[key] = sol
-
-
 def solve_whole_plane(
     p: float, alpha: float, m_max: int, tol: float | None = None
 ) -> WholePlaneSolution:
@@ -344,24 +326,20 @@ def solve_whole_plane(
     Integration stops at the step holding the ``m_max``-th sign change;
     zeros and the critical points strictly between them are located by
     root finding on the interpolant of the bracketing step
-    (machine-accurate in t).  Results are immutable and memoized on
-    (p, alpha, m_max, tol).
+    (machine-accurate in t).  This is a batch of one for
+    :func:`prefetch_solutions`, solved in-process; results are immutable
+    and memoized on (p, alpha, m_max, tol).
 
     Raises
     ------
     ValueError
-        If p or alpha is not finite, p <= 1, alpha < 0 or m_max < 1.
+        If p or alpha is not finite, p <= 1, alpha < 0, m_max < 1 or tol
+        is outside (0, 1).
     SolverError
         If the step controller fails, fewer than ``m_max`` zeros are found
         before the t cap, or the zero/critical interlacing is violated.
     """
-    key = _solve_key(p, alpha, m_max, _resolve_tol(tol))
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    sol = _solve_impl(*key)
-    _cache_put(key, sol)
-    return sol
+    return prefetch_solutions([(p, alpha, m_max)], tol)[0]
 
 
 def _crosses(a, b):
@@ -488,15 +466,27 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
     )
 
 
-def _solve_job(key: tuple) -> tuple[tuple, WholePlaneSolution]:
-    return key, _solve_impl(*key)
-
-
 #: the process's one solve pool and its worker count (see prefetch_solutions);
 #: a batch holds the lock until its jobs have ended
 _POOL: ProcessPoolExecutor | None = None
 _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
+
+#: seconds between a pool worker's checks that its parent process still runs
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: a daemon thread ends the worker once its parent
+    process has gone, so a process killed by a signal leaves no idle worker."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="nodal-parent-watch", daemon=True).start()
 
 
 def _close_pool() -> None:
@@ -507,79 +497,84 @@ def _close_pool() -> None:
         pool.shutdown()
 
 
-def _solve_on_pool(keys: list[tuple], workers: int) -> str | None:
-    """Solve ``keys`` on the solve pool, caching the results in key order up
-    to the first solve error, which is raised once every job has ended.
+def _solve_on_pool(keys: list[tuple], workers: int) -> tuple[list[Future], str | None]:
+    """Solve ``keys`` on the solve pool and wait until every job has ended.
 
-    Returns None, or why the batch must run sequentially: the pool could
-    not be had or broke.
+    Returns the jobs' futures in key order and None; or, when the pool
+    could not be had or broke, the futures of the jobs before the first
+    broken one and why the rest must run sequentially.
     """
     global _POOL, _POOL_WORKERS
     pool_errors = (OSError, NotImplementedError, BrokenProcessPool)
     with _POOL_LOCK:
-        failure = None
         try:
             reused = _POOL is not None and _POOL_WORKERS == workers
             if not reused:
                 _close_pool()  # first, so no other pool's threads run while workers fork
-                _POOL, _POOL_WORKERS = ProcessPoolExecutor(max_workers=workers), workers
-            futures = [_POOL.submit(_solve_job, key) for key in keys]
+                _POOL = ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+                _POOL_WORKERS = workers
+            futures = [_POOL.submit(_solve_impl, *key) for key in keys]
             wait(futures)
-            for future in futures:
-                failure = future.exception()
-                if failure is not None:
-                    break
-                _cache_put(*future.result())
+            failure = next((f.exception() for f in futures if f.exception() is not None), None)
         except pool_errors as exc:
-            failure = exc
+            futures, failure = [], exc
         if isinstance(failure, pool_errors):
             _close_pool()
-            return f"process pool unavailable or broken, {type(failure).__name__}: {failure}"
+            ended = list(itertools.takewhile(lambda f: f.exception() is None, futures))
+            return ended, f"process pool unavailable or broken, {type(failure).__name__}: {failure}"
     _LOG.debug("prefetch_solutions: %d jobs on the %s pool of %d workers",
                len(keys), "reused" if reused else "newly forked", workers)
-    if failure is not None:
-        raise failure
-    return None
+    return futures, None
 
 
 def prefetch_solutions(
     params: list[tuple[float, float, int]],
     tol: float | None = None,
     workers: int | None = None,
-) -> None:
-    """Solve a batch of (p, alpha, m_max) jobs, concurrently when possible.
+) -> list[WholePlaneSolution]:
+    """Solve a batch of (p, alpha, m_max) jobs, concurrently when possible,
+    and return their solutions in the order of ``params``.
 
-    Results land in the memo cache used by :func:`solve_whole_plane`, in a
-    deterministic order keyed by the inputs, once every job of the batch
-    has ended.  Errors raised by a solve propagate unchanged, the first in
-    key order.  ``workers`` defaults to one per job up to the CPU count; it
-    must be >= 1.
+    This is the one way into the solver and the one writer of the memo:
+    every key is validated, memo hits are taken as they are, and each
+    other distinct key is solved once; the new solutions enter the memo in
+    key order.  Errors raised by a solve propagate unchanged, the first in
+    key order, and the solutions before it stay memoized.  ``workers``
+    defaults to one per job up to the CPU count; it must be >= 1.
 
     A batch with more than one worker runs on the process's one solve
     pool: forked by the first such batch and reused by later ones,
     replaced when a batch asks for another worker count, dropped when it
-    breaks, and shut down at interpreter exit.  A batch whose pool cannot
-    be created or breaks is solved sequentially, and the next batch forks
-    a new pool.  Each batch logs one DEBUG record on the ``nodal`` logger:
-    its job count and whether it reused the pool, forked a new one, or ran
-    sequentially, and why.
+    breaks, and shut down at interpreter exit; a worker also exits once
+    its parent process has gone.  A batch whose pool cannot be created or
+    breaks is solved sequentially, and the next batch forks a new pool.
+    Each batch with something to solve logs one DEBUG record on the
+    ``nodal`` logger: its job count and whether it reused the pool, forked
+    a new one, or ran sequentially, and why.  A batch served wholly from
+    the memo logs nothing.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"prefetch_solutions: workers must be >= 1 (got {workers})")
-    tol = _resolve_tol(tol)
-    keys = sorted({_solve_key(p, alpha, m_max, tol) for p, alpha, m_max in params}
-                  - _CACHE.keys())
-    if not keys:
-        return
-    if workers is None:
-        workers = min(len(keys), os.cpu_count() or 1)
-    reason = _solve_on_pool(keys, workers) if workers > 1 else "one worker"
-    if reason is None:
-        return
-    _LOG.debug("prefetch_solutions: %d jobs sequentially (%s)", len(keys), reason)
-    for key in keys:
-        if key not in _CACHE:
-            _cache_put(key, _solve_impl(*key))
+    if tol is None:
+        tol = default_tolerance()
+    elif not 0.0 < tol < 1.0:
+        raise ValueError(f"tol out of range (0, 1): {tol!r}")
+    keys = [_solve_key(p, alpha, m_max, float(tol)) for p, alpha, m_max in params]
+    found = {key: _CACHE[key] for key in keys if key in _CACHE}
+    misses = sorted(set(keys) - found.keys())
+    if misses:
+        if workers is None:
+            workers = min(len(misses), os.cpu_count() or 1)
+        futures, reason = _solve_on_pool(misses, workers) if workers > 1 else ([], "one worker")
+        solved = (future.result() for future in futures)
+        if reason is not None:
+            _LOG.debug("prefetch_solutions: %d jobs sequentially (%s)", len(misses), reason)
+            solved = itertools.chain(solved, (_solve_impl(*key) for key in misses[len(futures):]))
+        for key, sol in zip(misses, solved):
+            if len(_CACHE) >= _CACHE_MAX:
+                _CACHE.pop(next(iter(_CACHE)))
+            _CACHE[key] = found[key] = sol
+    return [found[key] for key in keys]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .radial_ode import (
     neumann_solution,
     prefetch_solutions,
     rescaled_profile,
-    solve_whole_plane,
+    solve_whole_plane,  # noqa: F401  perfbench/layertrace.py wraps this binding
 )
 
 __all__ = [
@@ -176,7 +176,7 @@ def convergence_report(
         raise ValueError(f"convergence_report: m={m} invalid for bc={bc}")
     q = alpha + 2.0
     m_max = m + 1 if bc == "plane" else m
-    prefetch_solutions([(p, alpha, m_max) for p in ps], tol)
+    sols = prefetch_solutions([(p, alpha, m_max) for p in ps], tol)
 
     if bc == "dirichlet":
         tab = cn.constant_table(m, alpha)
@@ -186,8 +186,7 @@ def convergence_report(
         tab = cn.whole_plane_limits(m, alpha)
 
     per_key: dict = {}
-    for p in ps:
-        w = solve_whole_plane(p, alpha, m_max, tol)
+    for p, w in zip(ps, sols):
         if bc == "dirichlet":
             tracked = _tracked_dirichlet(dirichlet_solution(w, m), tab, q)
         elif bc == "neumann":

@@ -707,15 +707,42 @@ def sweep_paths(tmp_path_factory):
 
 
 def _run_unsolved(argv):
-    """``run(argv)`` with every solve an error and NODAL_TOL unset: (code, stdout, stderr)."""
+    """``run(argv)`` with every solve an error: (code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with (mock.patch.object(ro, "_solve_impl", _no_solve),
-          mock.patch.object(ro, "_solve_job", _no_solve),
-          mock.patch.dict("os.environ") as env,
           contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
-        env.pop("NODAL_TOL", None)
         code = run(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# the solves made in this process; a pool worker appends to its own copy
+_IN_PROCESS_SOLVES: list[tuple] = []
+_REAL_SOLVE = ro._solve_impl
+
+
+def _counted_solve(*key):
+    _IN_PROCESS_SOLVES.append(key)
+    return _REAL_SOLVE(*key)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_solves_each_key_once(tmp_path, workers):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("p = 20..89\nm = 1\nalpha = 0\nbc = dirichlet\n", encoding="utf-8")
+    keys = [(float(p), 0.0, 1, ro.default_tolerance()) for p in range(20, 90)]
+    assert len(keys) > ro._CACHE_MAX
+    _IN_PROCESS_SOLVES.clear()
+    ro._close_pool()  # a pool forked under the patch below would keep it
+    try:
+        with (mock.patch.object(ro, "_solve_impl", _counted_solve),
+              mock.patch.dict(ro._CACHE, clear=True)):
+            code = run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                        "--workers", workers])
+    finally:
+        ro._close_pool()
+    assert code == 0
+    assert len(json.loads((tmp_path / "out" / "index.json").read_text())) == len(keys)
+    assert sorted(_IN_PROCESS_SOLVES) == (keys if workers == "1" else [])
 
 
 # text no numeric option parses

@@ -1,5 +1,6 @@
 """Tests for the whole-plane solver and its Dirichlet/Neumann rescalings."""
 
+import functools
 import gc
 import logging
 import math
@@ -277,17 +278,11 @@ def test_solution_dump_keys():
     assert wp["bc"] == "plane" and "samples" not in wp
 
 
-def test_default_tolerance_env(monkeypatch):
-    monkeypatch.delenv("NODAL_TOL", raising=False)
-    assert ro.default_tolerance() == 1e-10
-    monkeypatch.setenv("NODAL_TOL", "1e-8")
-    assert ro.default_tolerance() == 1e-8
-    monkeypatch.setenv("NODAL_TOL", "bogus")
-    with pytest.raises(ValueError):
-        ro.default_tolerance()
-    monkeypatch.setenv("NODAL_TOL", "2.0")
-    with pytest.raises(ValueError):
-        ro.default_tolerance()
+def test_nodal_tol_env_changes_nothing(monkeypatch):
+    for env in ("1e-8", "bogus", "2.0"):
+        monkeypatch.setenv("NODAL_TOL", env)
+        assert ro.default_tolerance() == 1e-10
+        assert ro.solve_whole_plane(50.0, 0.0, 2).tol == 1e-10
 
 
 # (p, alpha, m) -> (log_zeros, log_crit), recorded with the earlier
@@ -605,15 +600,16 @@ def closed_pool():
     ro._close_pool()
 
 
+def _failing_solve(log, p, alpha, m_max, tol):
+    with open(log, "a") as fh:
+        fh.write(f"{p}\n")
+    raise ro.SolverError(f"injected failure at p={p}")
+
+
 def test_prefetch_propagates_worker_errors(closed_pool, monkeypatch, tmp_path):
     log = tmp_path / "calls.txt"
-
-    def failing_solve(p, alpha, m_max, tol):
-        with open(log, "a") as fh:
-            fh.write(f"{p}\n")
-        raise ro.SolverError(f"injected failure at p={p}")
-
-    monkeypatch.setattr(ro, "_solve_impl", failing_solve)
+    # the pool pickles the job's function by reference, so it must be importable
+    monkeypatch.setattr(ro, "_solve_impl", functools.partial(_failing_solve, log))
     params = [(91.5, 0.0, 2), (92.5, 0.0, 2), (93.5, 0.0, 2)]
     with pytest.raises(ro.SolverError, match="injected failure"):
         ro.prefetch_solutions(params, workers=2)
@@ -737,6 +733,65 @@ def test_pool_workers_end_with_their_process(tmp_path):
         if state not in (None, "Z"):
             os.kill(int(pid), signal.SIGKILL)  # leave no orphan behind a failed run
     assert len(states) == 2 and set(states.values()) <= {None, "Z"}, states
+
+
+_KILLED_PARENT_SCRIPT = """
+import os, signal
+from nodal import radial_ode as ro
+ro.prefetch_solutions([(40.0, 0.0, 1), (41.0, 0.0, 1)], workers=2)
+print(*ro._POOL._processes, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_pool_workers_exit_when_their_parent_is_killed(tmp_path):
+    src = os.path.dirname(os.path.dirname(ro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    log = tmp_path / "out.txt"
+    with open(log, "w") as fh:
+        proc = subprocess.run([sys.executable, "-c", _KILLED_PARENT_SCRIPT],
+                              stdout=fh, stderr=fh, env=env, timeout=120, check=False)
+    assert proc.returncode == -signal.SIGKILL, log.read_text()
+    pids = log.read_text().split()
+    deadline = time.monotonic() + 5.0
+    while (any(_proc_state(pid) not in (None, "Z") for pid in pids)
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    states = {pid: _proc_state(pid) for pid in pids}
+    for pid, state in states.items():
+        if state not in (None, "Z"):
+            os.kill(int(pid), signal.SIGKILL)  # leave no orphan behind a failed run
+    assert len(states) == 2 and set(states.values()) <= {None, "Z"}, states
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_prefetch_returns_solutions_in_params_order(closed_pool, caplog, workers):
+    # distinct p per parametrization, so each run has the same two misses
+    hit = ro.solve_whole_plane(121.25 + workers, 0.0, 1)
+    params = [(122.25 + workers, 0.0, 1), (121.25 + workers, 0.0, 1),
+              (120.25 + workers, 0.0, 2), (122.25 + workers, 0.0, 1),
+              (121.25 + workers, 0.0, 1)]
+    with caplog.at_level(logging.DEBUG, logger="nodal"):
+        sols = ro.prefetch_solutions(params, workers=workers)
+    assert [(w.p, w.alpha, w.m_max) for w in sols] == params
+    assert sols[1] is hit and sols[4] is hit and sols[0] is sols[3]
+    for (p, alpha, m), w in zip(params, sols):
+        assert ro._CACHE[(p, alpha, m, ro.default_tolerance())] is w
+        _assert_same_solution(w, ro._solve_impl(p, alpha, m, ro.default_tolerance()))
+    assert _batch_records(caplog) == [
+        "prefetch_solutions: 2 jobs sequentially (one worker)" if workers == 1
+        else "prefetch_solutions: 2 jobs on the newly forked pool of 2 workers"]
+
+
+def test_prefetch_all_hits_log_nothing_and_fork_no_pool(closed_pool, caplog):
+    params = [(123.25, 0.0, 1), (124.25, 0.0, 1)]
+    first = ro.prefetch_solutions(params, workers=1)
+    with caplog.at_level(logging.DEBUG, logger="nodal"):
+        again = ro.prefetch_solutions([*params, params[0]], workers=2)
+        one = ro.solve_whole_plane(*params[1])
+    assert [id(w) for w in again] == [id(first[0]), id(first[1]), id(first[0])]
+    assert one is first[1]
+    assert _batch_records(caplog) == [] and ro._POOL is None
 
 
 def test_repeated_solves_release_their_steps():
