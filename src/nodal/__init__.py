@@ -5,108 +5,19 @@ behavior of every radial solution in the unit disc (Dirichlet and
 Neumann) and on the whole plane, solves the radial equation at finite p
 with event-detected zeros and critical points, evaluates the explicit
 limit bubbles, and verifies the convergence of the one against the other.
+
+Each library module's ``__all__`` is the one list of its public names;
+the package re-exports all of them and ``__version__``, not ``nodal.cli``.
 """
 
-from .bubbles import (
-    BubbleSpec,
-    QuadratureError,
-    bubble_mass,
-    bubble_pde_residual,
-    bubble_profile,
-    bubble_spec,
-    bubble_split_integrals,
-)
-from .constants import (
-    BoundsReport,
-    ConstantTable,
-    NeumannConstantTable,
-    ThetaTable,
-    WholePlaneLimits,
-    bubble_morse,
-    constant_table,
-    energy_limit,
-    gamma_alpha_m,
-    m0_bounds_check,
-    m0_over_sqrt_m,
-    m0_product_formula,
-    morse_conjecture,
-    neumann_constants,
-    sup_norm_bounds,
-    theta_bounds_check,
-    theta_sequence,
-    whole_plane_limits,
-)
-from .radial_ode import (
-    RadialSolution,
-    RescaledProfile,
-    SolverError,
-    WholePlaneSolution,
-    dirichlet_solution,
-    energies,
-    flux_identity_residual,
-    henon_crosscheck,
-    neumann_solution,
-    pohozaev_residual,
-    rescaled_profile,
-    solve_whole_plane,
-)
-from .specfun import lambert_w0, ln_gamma
-from .verify import (
-    BubbleCheck,
-    ConvergenceReport,
-    bubble_convergence_check,
-    convergence_report,
-    green_profile_check,
-    richardson_extrapolate,
-)
+from . import bubbles, constants, radial_ode, specfun, verify
+from .bubbles import *  # noqa: F403
+from .constants import *  # noqa: F403
+from .radial_ode import *  # noqa: F403
+from .specfun import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BubbleSpec",
-    "QuadratureError",
-    "bubble_mass",
-    "bubble_pde_residual",
-    "bubble_profile",
-    "bubble_spec",
-    "bubble_split_integrals",
-    "BoundsReport",
-    "ConstantTable",
-    "NeumannConstantTable",
-    "ThetaTable",
-    "WholePlaneLimits",
-    "bubble_morse",
-    "constant_table",
-    "energy_limit",
-    "gamma_alpha_m",
-    "m0_bounds_check",
-    "m0_over_sqrt_m",
-    "m0_product_formula",
-    "morse_conjecture",
-    "neumann_constants",
-    "sup_norm_bounds",
-    "theta_bounds_check",
-    "theta_sequence",
-    "whole_plane_limits",
-    "RadialSolution",
-    "RescaledProfile",
-    "SolverError",
-    "WholePlaneSolution",
-    "dirichlet_solution",
-    "energies",
-    "flux_identity_residual",
-    "henon_crosscheck",
-    "neumann_solution",
-    "pohozaev_residual",
-    "rescaled_profile",
-    "solve_whole_plane",
-    "lambert_w0",
-    "ln_gamma",
-    "BubbleCheck",
-    "ConvergenceReport",
-    "bubble_convergence_check",
-    "convergence_report",
-    "green_profile_check",
-    "richardson_extrapolate",
-    "__version__",
-]
+__all__ = [*bubbles.__all__, *constants.__all__, *radial_ode.__all__, *specfun.__all__,
+           *verify.__all__, "__version__"]

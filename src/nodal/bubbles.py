@@ -27,6 +27,7 @@ __all__ = [
     "bubble_profile",
     "profile_samples",
     "bubble_mass",
+    "SplitIntegrals",
     "bubble_split_integrals",
     "bubble_pde_residual",
 ]

@@ -281,7 +281,8 @@ def _cmd_bubble(args) -> int:
 
 def _parse_sweep_config(path: str) -> dict:
     """Flat key-list file: ``p = 50,100``, ``m = 1..3``, ``alpha = 0``,
-    ``bc = dirichlet`` (one key per line, ``#`` comments allowed)."""
+    ``bc = dirichlet`` (one key per line, ``#`` comments allowed).  A
+    repeated key or an empty range is rejected with its line number."""
     cfg: dict = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -295,6 +296,8 @@ def _parse_sweep_config(path: str) -> dict:
         val = val.strip()
         if key not in ("p", "m", "alpha", "bc", "tol"):
             raise ValueError(f"sweep config line {lineno}: unknown key {key!r}")
+        if key in cfg:
+            raise ValueError(f"sweep config line {lineno}: repeated key {key!r}")
         if key == "bc":
             cfg["bc"] = [v.strip() for v in val.split(",") if v.strip()]
             continue
@@ -306,6 +309,8 @@ def _parse_sweep_config(path: str) -> dict:
             piece = piece.strip()
             if ".." in piece:
                 lo, hi = piece.split("..")
+                if int(lo) > int(hi):
+                    raise ValueError(f"sweep config line {lineno}: empty range {piece!r}")
                 items.extend(float(x) for x in range(int(lo), int(hi) + 1))
             elif piece:
                 items.append(float(piece))

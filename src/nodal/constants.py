@@ -529,7 +529,7 @@ def _theta_sandwich(table: ThetaTable, ks: np.ndarray) -> BoundsTable:
     return _sandwich("theta_growth", ks, 2.0 + 8.0 * ks, theta, upper, also)
 
 
-def theta_bounds_check(k: int, table: ThetaTable | None = None) -> BoundsReport:
+def theta_bounds_check(k: int) -> BoundsReport:
     """Linear-growth sandwich ``2+8k < theta_k < 2 + 2/W(1/(4k)) < 4+8k``.
 
     ``holds`` additionally requires the companion chain
@@ -537,9 +537,7 @@ def theta_bounds_check(k: int, table: ThetaTable | None = None) -> BoundsReport:
     """
     if k < 1:
         raise ValueError("theta_bounds_check: k must be >= 1")
-    if table is None or table.k_max < k:
-        table = theta_sequence(k)
-    return _theta_sandwich(table, np.arange(k, k + 1))[0]
+    return _theta_sandwich(theta_sequence(k), np.arange(k, k + 1))[0]
 
 
 def theta_bounds_suite(k_max: int) -> BoundsTable:

@@ -88,8 +88,8 @@ _LOG = logging.getLogger("nodal")
 
 
 class SolverError(RuntimeError):
-    """Integration failed (step controller stalled or events missing), or a
-    value of a disc solution that was read lies beyond the double range."""
+    """Integration failed (start series overflow, step controller stall,
+    missing events), or a value read off a disc solution leaves the double range."""
 
 
 def default_tolerance() -> float:
@@ -355,7 +355,10 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
     ln_m0 = math.log(m0_product_formula(m_max - 1))
     t_cap = 1.2 * (p - 1.0) / q * ln_m0 + 25.0
     t0 = math.log(_START_COEFF) / q
-    y0 = _series_state(p, alpha, np.array([t0]))[:, 0]
+    try:
+        y0 = _series_state(p, alpha, np.array([t0]))[:, 0]
+    except OverflowError:  # (2 + alpha)**5 in the series, from alpha ~ 4.6e61 up
+        raise SolverError(f"start series leaves the double range (p={p}, alpha={alpha})") from None
 
     ts: list[float] = []
     ys: list[list[float]] = []

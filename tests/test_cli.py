@@ -173,7 +173,7 @@ def test_bounds_nonpositive_kmax_rejected(capsys, kmax):
 
 
 def _scalar_bounds_rows(kmax, mmax):
-    """The ``bounds`` rows rebuilt from the scalar definitions, one k or m at a time."""
+    """The ``bounds`` rows rebuilt from the per-k and per-m definitions, not the suites."""
     table = cn.theta_sequence(kmax)
     rows = []
     for k in range(1, kmax + 1):
@@ -183,9 +183,32 @@ def _scalar_bounds_rows(kmax, mmax):
         holds = (lower < th < mid < upper
                  and 1.0 / (4.0 * k + 1.0) < w < a < 1.0 / (4.0 * k))
         rows.append(cn.BoundsReport("theta_growth", k, lower, th, upper, holds))
-    rows += [cn.m0_bounds_check(m) for m in range(1, mmax + 1)]
-    rows += [r for m in range(1, mmax + 1) for r in cn.sup_norm_bounds(m)]
+    ms = range(1, mmax + 1)
+    for m in ms:
+        lower, upper = _gamma_ratio_bounds(m)
+        value = cn.m0_product_formula(m)
+        rows.append(cn.BoundsReport("m0_growth", m, lower, value, upper, lower < value < upper))
+    for m in ms:
+        table = cn.constant_table(m)
+        lower, upper = _gamma_ratio_bounds(m - 1)
+        m0 = table.M[0]
+        rows.append(cn.BoundsReport("dirichlet_sup", m, lower, m0, upper, lower < m0 < upper))
+        if m == 1:
+            continue
+        s_lo, s_up = math.exp(-1.0 / (4.0 * m - 2.0)), math.exp(-1.0 / (4.0 * m - 1.0))
+        s = table.S[m - 1]
+        rows.append(cn.BoundsReport("s_last", m, s_lo, s, s_up, s_lo < s < s_up))
+        lo, value, up = lower * s_lo, s * m0, upper * s_up
+        rows.append(cn.BoundsReport("neumann_sup", m, lo, value, up, lo < value < up))
     return rows
+
+
+def _gamma_ratio_bounds(m):
+    """The Gamma-ratio sandwich of the m-region sup-norm limit, written out."""
+    lg = cn.ln_gamma
+    lower = cn.GROWTH_C1 * math.exp(lg(m + 1.0) - lg(m + 0.5) + 1.0 / (3.0 + 4.0 * m))
+    upper = cn.GROWTH_C2 * math.exp(lg(m + 1.25) - lg(m + 0.75) + 1.0 / (2.0 + 4.0 * m))
+    return lower, upper
 
 
 @pytest.mark.parametrize("kmax, mmax", [(1, 1), (2, 3), (777, 61)])
@@ -594,6 +617,39 @@ def test_disc_overflow_exit_code(capsys):
     assert run(["solve", "--p", "1.03", "--alpha", "19.5", "--m", "8", "--bc", "dirichlet"]) == 2
     out, err = _capture(capsys)
     assert out == "" and "numerical failure" in err and "double range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "2", "--m", "1", "--bc", "plane", "--alpha", "1e62"],
+    ["verify", "--m", "1", "--bc", "plane", "--p", "2,3", "--alpha", "1e100"],  # on the pool
+])
+def test_huge_alpha_exit_code(capsys, argv):
+    # the start series overflows; one line naming p and alpha, not a traceback
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    alpha = float(argv[-1])
+    assert out == ""
+    assert err == ("nodal: numerical failure: start series leaves the double range "
+                   f"(p=2.0, alpha={alpha})\n")
+
+
+def test_sweep_config_rejects_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("p = 50\nm = 1\nalpha = 0\nbc = plane\np = 60\n", encoding="utf-8")
+    assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    _, err = _capture(capsys)
+    assert err == "nodal: error: sweep config line 5: repeated key 'p'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_config_rejects_empty_range(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("p = 50\n# m below is empty\nm = 3..1\nalpha = 0\nbc = plane\n",
+                   encoding="utf-8")
+    assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    _, err = _capture(capsys)
+    assert err == "nodal: error: sweep config line 3: empty range '3..1'\n"
+    assert not (tmp_path / "o").exists()
 
 
 def _csv_chain_oracle(header, rows):

@@ -320,8 +320,7 @@ def test_theta_bounds_check():
     rep10 = cn.theta_bounds_check(10)
     assert rep10.holds and 82.0 < rep10.value < 84.0
     assert abs(rep10.value - 82.4833) < 5e-4 * 82.4833
-    table = cn.theta_sequence(10_000)
-    assert cn.theta_bounds_check(10_000, table).holds
+    assert cn.theta_bounds_check(10_000).holds
 
 
 def test_theta_bounds_suite():
@@ -345,7 +344,8 @@ def test_theta_sandwich_rejects_each_broken_clause():
         "a_seq below W": (None, 0.5 * w),
         "a_seq above 1/(4k)": (None, 1.0 / (4.0 * k) * (1.0 + 1e-12)),
     }
-    assert cn.theta_bounds_check(k, good).holds
+    ks = np.arange(k, k + 1)
+    assert cn._theta_sandwich(good, ks)[0].holds
     for name, (th, a) in broken.items():
         theta, a_seq = good.theta.copy(), good.a_seq.copy()
         if th is not None:
@@ -353,7 +353,7 @@ def test_theta_sandwich_rejects_each_broken_clause():
         if a is not None:
             a_seq[k] = a
         table = cn.ThetaTable(k_max=k, theta=theta, a_seq=a_seq)
-        assert not cn.theta_bounds_check(k, table).holds, name
+        assert not cn._theta_sandwich(table, ks)[0].holds, name
 
 
 def test_sandwich_rejects_each_broken_bound():

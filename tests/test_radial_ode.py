@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -499,6 +500,18 @@ def test_disc_rescaling_overflow_is_solver_error():
     # the first zero's rescaling still fits: u(0) = exp(kappa ln rho_1) < 1e154
     d = ro.dirichlet_solution(w, 1)
     assert math.isfinite(d.energy_pot) and ro.pohozaev_residual(d) <= 1e-7
+
+
+@pytest.mark.parametrize("alpha", [1e62, 1e78, 1e300])
+def test_huge_alpha_is_solver_error(alpha):
+    # (2 + alpha)**5 in the start series overflows from about 4.6e61, **4 from 1.3e77
+    with pytest.raises(ro.SolverError, match=re.escape(f"(p=2.0, alpha={alpha})")):
+        ro.solve_whole_plane(2.0, alpha, 1)
+
+
+def test_alpha_below_series_overflow_solves():
+    w = ro.solve_whole_plane(2.0, 1e61, 1)
+    assert len(w.log_zeros) == 1 and math.isfinite(w.log_zeros[0])
 
 
 def _eager_disc_fields(w, bc, m):
