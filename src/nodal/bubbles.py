@@ -11,6 +11,7 @@ adaptive quadrature.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +35,8 @@ __all__ = [
 
 #: relative tolerance of each half of the mass and split quadratures
 _QUAD_EPSREL = 1e-11
+
+_LN2 = math.log(2.0)
 
 
 class QuadratureError(RuntimeError):
@@ -98,23 +101,23 @@ def bubble_spec(i: int, alpha: float = 0.0) -> BubbleSpec:
     return BubbleSpec(i=i, alpha=float(alpha), theta_i=th, beta_i=beta, sigma_i_alpha=sigma)
 
 
-def _profile_from_logr(spec: BubbleSpec, log_r) -> np.ndarray | float:
-    """Z evaluated from log-radius; works on scalars and arrays.
+def _profile_coefficients(spec: BubbleSpec) -> tuple[float, float, float, float]:
+    """``(c0, c1, a, c2)`` with Z = c0 + c1*log r - 2*logaddexp(a, c2*log r).
 
-    Assembled as log(2*theta^2) + theta*log(beta)
-    + (alpha+2)(theta-2)/2 * log r - 2*logaddexp(theta*log beta,
-    (alpha+2)*theta/2 * log r), which never forms beta**theta directly.
+    c0 = log(2*theta^2) + theta*log(beta), c1 = (alpha+2)(theta-2)/2,
+    a = theta*log(beta) and c2 = (alpha+2)*theta/2, so beta**theta is
+    never formed.
     """
     th = spec.theta_i
     q = spec.alpha + 2.0
     a = th * spec.log_beta
-    b = q * th / 2.0 * log_r
-    return (
-        math.log(2.0 * th * th)
-        + a
-        + q * (th - 2.0) / 2.0 * log_r
-        - 2.0 * np.logaddexp(a, b)
-    )
+    return math.log(2.0 * th * th) + a, q * (th - 2.0) / 2.0, a, q * th / 2.0
+
+
+def _profile_from_logr(spec: BubbleSpec, log_r) -> np.ndarray | float:
+    """Z evaluated from log-radius; works on scalars and arrays."""
+    c0, c1, a, c2 = _profile_coefficients(spec)
+    return c0 + c1 * log_r - 2.0 * np.logaddexp(a, c2 * log_r)
 
 
 def bubble_profile(spec: BubbleSpec, r):
@@ -142,6 +145,33 @@ def profile_samples(spec: BubbleSpec, r_grid: np.ndarray) -> np.ndarray:
     return np.column_stack([r, z, np.exp(z)])
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """``np.logaddexp`` on two floats, by NumPy's own formula, bit for bit."""
+    if x == y:
+        return x + _LN2
+    d = x - y
+    if d > 0.0:
+        return x + math.log1p(math.exp(-d))
+    return y + math.log1p(math.exp(d))
+
+
+def _weighted_integrand(spec: BubbleSpec, power: float) -> Callable[[float], float]:
+    """``s -> exp(Z(s)) * s**power`` on plain floats, 0 where it underflows.
+
+    The profile coefficients are computed once here, not at each node.
+    """
+    c0, c1, a, c2 = _profile_coefficients(spec)
+
+    def f(s: float) -> float:
+        if s <= 0.0:
+            return 0.0
+        ln_s = math.log(s)
+        ex = c0 + c1 * ln_s - 2.0 * _logaddexp(a, c2 * ln_s) + power * ln_s
+        return math.exp(ex) if ex > -700.0 else 0.0
+
+    return f
+
+
 def _integrate_weighted(spec: BubbleSpec, power: float, split: float) -> tuple[float, float]:
     """``int_0^inf exp(Z(s)) * s**power ds`` split at ``split``.
 
@@ -149,14 +179,7 @@ def _integrate_weighted(spec: BubbleSpec, power: float, split: float) -> tuple[f
     an arbitrary cutoff; the integrand decays like a negative power of s
     with exponent > 1 there, so the transformed integrand is bounded.
     """
-
-    def f(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        ln_s = math.log(s)
-        ex = _profile_from_logr(spec, ln_s) + power * ln_s
-        return math.exp(ex) if ex > -700.0 else 0.0
-
+    f = _weighted_integrand(spec, power)
     inner, err_in = quad(f, 0.0, split, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
 
     def tail(u: float) -> float:

@@ -43,6 +43,14 @@ def _fmt(x: float, digits: int = 17) -> str:
     return f"{x:.{digits}g}"
 
 
+def _plain_finite_floats(obj) -> bool:
+    """Whether ``obj`` is a non-empty list of finite Python floats."""
+    # a NaN or inf cell makes the sum non-finite (so can an overflow); such lists
+    # take the chain, which writes a non-finite value as null
+    return (type(obj) is list and set(map(type, obj)) == {float}
+            and math.isfinite(sum(obj)))
+
+
 def _json_encode(obj, buf: io.StringIO, indent: int = 0) -> None:
     pad = " " * indent
     if obj is None:
@@ -64,6 +72,8 @@ def _json_encode(obj, buf: io.StringIO, indent: int = 0) -> None:
         buf.write("\n" + pad + "}" if obj else "}")
     elif dataclasses.is_dataclass(obj):
         _json_encode({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, buf, indent)
+    elif _plain_finite_floats(obj):
+        buf.write("[" + ", ".join(map("%.17g".__mod__, obj)) + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         buf.write("[")
         for n, v in enumerate(obj):
@@ -101,7 +111,7 @@ def _csv_column(column: Sequence) -> Sequence[str]:
         # a NaN cell makes the sum NaN (so can inf - inf); such columns take the chain
         total = sum(column)
         if total == total:
-            return [f"{x:.17g}" for x in column]
+            return ("%.17g\n" * len(column) % tuple(column)).split("\n")[:-1]
     elif kinds == {str}:
         return column
     elif kinds == {int}:
@@ -268,7 +278,7 @@ def _cmd_bubble(args) -> int:
         payload = {
             "spec": spec,
             "checks": checks,
-            "samples": [list(row) for row in samples],
+            "samples": samples.tolist(),
         }
         _emit(_to_json(payload), args.out)
         return 0
@@ -282,43 +292,63 @@ def _cmd_bubble(args) -> int:
 def _parse_sweep_config(path: str) -> dict:
     """Flat key-list file: ``p = 50,100``, ``m = 1..3``, ``alpha = 0``,
     ``bc = dirichlet`` (one key per line, ``#`` comments allowed).  A
-    repeated key or an empty range is rejected with its line number."""
+    repeated key, a key without values, a malformed or empty range and a
+    value that is not a number are rejected with their line number."""
     cfg: dict = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"sweep config line {lineno}: expected 'key = values'")
-        key, _, val = line.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
-        if key not in ("p", "m", "alpha", "bc", "tol"):
-            raise ValueError(f"sweep config line {lineno}: unknown key {key!r}")
-        if key in cfg:
-            raise ValueError(f"sweep config line {lineno}: repeated key {key!r}")
-        if key == "bc":
-            cfg["bc"] = [v.strip() for v in val.split(",") if v.strip()]
-            continue
-        if key == "tol":
-            cfg["tol"] = float(val)
-            continue
-        items: list[float] = []
-        for piece in val.split(","):
-            piece = piece.strip()
-            if ".." in piece:
-                lo, hi = piece.split("..")
-                if int(lo) > int(hi):
-                    raise ValueError(f"sweep config line {lineno}: empty range {piece!r}")
-                items.extend(float(x) for x in range(int(lo), int(hi) + 1))
-            elif piece:
-                items.append(float(piece))
-        cfg[key] = items
+        try:
+            key, values = _parse_sweep_line(line, cfg)
+        except ValueError as exc:
+            raise ValueError(f"sweep config line {lineno}: {exc}") from None
+        cfg[key] = values
     for required in ("p", "m", "alpha", "bc"):
-        if required not in cfg or not cfg[required]:
+        if required not in cfg:
             raise ValueError(f"sweep config: missing key {required!r}")
     return cfg
+
+
+def _parse_sweep_line(line: str, cfg: dict) -> tuple[str, list | float]:
+    """One ``key = values`` line as ``(key, values)``; ``cfg`` holds the keys read so far."""
+    if "=" not in line:
+        raise ValueError("expected 'key = values'")
+    key, _, val = line.partition("=")
+    key = key.strip().lower()
+    if key not in ("p", "m", "alpha", "bc", "tol"):
+        raise ValueError(f"unknown key {key!r}")
+    if key in cfg:
+        raise ValueError(f"repeated key {key!r}")
+    pieces = [v.strip() for v in val.split(",") if v.strip()]
+    if not pieces:
+        raise ValueError(f"no values for {key!r}")
+    if key == "bc":
+        return key, pieces
+    if key == "tol":
+        return key, _config_float(val.strip())
+    items: list[float] = []
+    for piece in pieces:
+        if ".." not in piece:
+            items.append(_config_float(piece))
+            continue
+        lo, _, hi = piece.partition("..")
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise ValueError(f"bad range {piece!r}") from None
+        if lo > hi:
+            raise ValueError(f"empty range {piece!r}")
+        items.extend(map(float, range(lo, hi + 1)))
+    return key, items
+
+
+def _config_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"bad value {text!r}") from None
 
 
 def _cmd_sweep(args) -> int:

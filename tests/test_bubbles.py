@@ -174,6 +174,30 @@ def test_profile_array_call_equals_scalar_calls(i, alpha):
         bb.bubble_profile(spec, np.array([1.0, -1e-300]))
 
 
+@pytest.mark.parametrize("i", [0, 1, 5, 20])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+def test_quadrature_integrand_equals_profile_path(i, alpha):
+    # the float integrand of the mass/split quadratures is the array profile, bit for bit
+    spec = bb.bubble_spec(i, alpha)
+    splits = {spec.concentration_radius, spec.sigma_i_alpha} - {0.0}
+    for power in (1.0 + alpha, 1.0):
+        f = bb._weighted_integrand(spec, power)
+        for split in splits:
+            nonzero = 0
+            for s in (split * np.geomspace(1e-2, 1e2, 301)).tolist():
+                ln_s = math.log(s)
+                ex = float(bb._profile_from_logr(spec, ln_s)) + power * ln_s
+                value = f(s)
+                assert type(value) is float
+                if ex > -700.0:
+                    assert value == math.exp(ex), (s, power)
+                    nonzero += value > 0.0
+                else:
+                    assert value == 0.0
+            assert nonzero >= 100
+            assert f(0.0) == 0.0
+
+
 def test_large_index_no_overflow():
     # theta ~ 8i makes direct powers overflow; log-space evaluation must not
     spec = bb.bubble_spec(40, 0.0)

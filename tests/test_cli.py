@@ -155,7 +155,7 @@ def test_constants_lambert_calls_linear_in_m(capsys, monkeypatch):
 def test_bounds_lambert_calls_linear(capsys, monkeypatch):
     kmax, mmax = 500, 200
     argv = ["bounds", "--kmax", str(kmax), "--mmax", str(mmax)]
-    assert _lambert_calls(monkeypatch, argv) <= 3 * kmax + 3 * mmax
+    assert _lambert_calls(monkeypatch, argv) <= 2 * kmax + 2 * mmax
 
 
 def test_constants_reads_theta_once(capsys, monkeypatch):
@@ -211,7 +211,7 @@ def _gamma_ratio_bounds(m):
     return lower, upper
 
 
-@pytest.mark.parametrize("kmax, mmax", [(1, 1), (2, 3), (777, 61)])
+@pytest.mark.parametrize("kmax, mmax", [(1, 1), (2, 3), (777, 61), (20000, 61)])
 def test_bounds_csv_matches_scalar_oracle(capsys, kmax, mmax):
     assert run(["bounds", "--kmax", str(kmax), "--mmax", str(mmax)]) == 0
     out, _ = _capture(capsys)
@@ -652,6 +652,34 @@ def test_sweep_config_rejects_empty_range(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("m = 1..2..3", "bad range '1..2..3'"),
+    ("m = a..3", "bad range 'a..3'"),
+    ("m = 1, 2..", "bad range '2..'"),
+    ("p = abc", "bad value 'abc'"),
+    ("p = 50, 1e", "bad value '1e'"),
+    ("alpha = 0 0", "bad value '0 0'"),
+    ("tol = x", "bad value 'x'"),
+    ("p = ", "no values for 'p'"),
+    ("m = ,", "no values for 'm'"),
+    ("bc = ", "no values for 'bc'"),
+    ("tol =", "no values for 'tol'"),
+])
+def test_sweep_config_bad_value_names_its_line(tmp_path, capsys, line, message):
+    key = line.split("=")[0].strip()
+    good = {"p": "p = 50", "m": "m = 1", "alpha": "alpha = 0", "bc": "bc = plane"}
+    good.pop(key, None)
+    lines = ["# sweep", *good.values()]
+    lines.insert(2, line)  # line 3
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == f"nodal: error: sweep config line 3: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _csv_chain_oracle(header, rows):
     """The CSV encoder with every cell through one isinstance chain: the byte oracle."""
     lines = [",".join(header)]
@@ -701,6 +729,32 @@ def test_csv_column_fast_paths_match_chain_oracle():
     rows = [list(row) for row in zip(*columns.values())]
     assert cli._to_csv(header, columns.values()) == _csv_chain_oracle(header, rows)
     assert cli._to_csv(header, [[] for _ in header]) == _csv_chain_oracle(header, [])
+
+
+def _json_cell(cell):
+    if cell is None:
+        return "null"
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    if isinstance(cell, int):
+        return str(cell)
+    return f"{cell:.17g}" if math.isfinite(cell) else "null"
+
+
+def test_json_float_list_fast_path_matches_chain_oracle():
+    # a list of plain finite floats is joined in one pass; every other list takes the chain
+    lists = [
+        [0.1, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -2.0 ** 60],
+        [1.7976931348623157e308, 1.7976931348623157e308],  # finite cells, overflowing sum
+        [0.5, math.nan], [0.5, math.inf], [-math.inf, 0.5], [0.5, np.float64(0.25)],
+        [0.5, 1], [0.5, True], [0.5, None], [],
+    ]
+    for values in lists:
+        assert cli._to_json(values) == "[" + ", ".join(map(_json_cell, values)) + "]\n"
+    rows = [[0.0, -math.inf, 0.0], [2.5, -7.8, 4e-4]]
+    assert cli._to_json({"samples": rows}) == ('{\n  "samples": [[0, null, 0], '
+                                               '[2.5, -7.7999999999999998, '
+                                               '0.00040000000000000002]]\n}\n')
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
