@@ -206,24 +206,42 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _solution(w, bc: str, m: int):
-    """The ``bc`` solution with ``m`` regions read from the whole-plane solve ``w``."""
+def _dump(w, bc: str, m: int, samples: int = 0) -> dict:
+    """The ``solve``/``sweep`` object of the ``bc`` solution with ``m`` regions
+    read from the whole-plane solve ``w``.  With ``samples`` > 0 it also holds
+    min(samples, nodes) of the stored nodes (those inside the disc, on the disc,
+    for dirichlet/neumann), spaced evenly by index."""
     if bc == "plane":
-        return w
-    return (dirichlet_solution if bc == "dirichlet" else neumann_solution)(w, m)
+        sol, nodes = w, len(w.t)
+    else:
+        sol = (dirichlet_solution if bc == "dirichlet" else neumann_solution)(w, m)
+        nodes = int(np.count_nonzero(w.t <= sol.log_scale))
+    out = {"p": w.p, "alpha": w.alpha, "bc": bc, "m": m,
+           "log_zeros": sol.log_zeros.tolist(), "log_crit": sol.log_crit.tolist(),
+           "crit_values": sol.crit_values.tolist()}
+    if bc != "plane":
+        out.update(boundary_derivative=sol.boundary_derivative,
+                   energy_grad=sol.energy_grad, energy_pot=sol.energy_pot)
+    if samples > 0:
+        idx = np.unique(np.linspace(0, nodes - 1, samples).astype(int))
+        # on the disc, |u| <= 1 keeps the scaled values finite
+        out["samples"] = ({"t": w.t[idx].tolist(), "u": w.u[idx].tolist(),
+                           "ut": w.ut[idx].tolist()} if bc == "plane" else
+                          {"r": np.exp(w.t[idx] - sol.log_scale).tolist(),
+                           "u": (sol.amplitude_scale * w.u[idx]).tolist()})
+    return out
 
 
 def _cmd_solve(args) -> int:
-    if args.bc == "neumann" and args.m < 2:
-        raise ValueError("solve: Neumann solutions are nodal, m must be >= 2")
+    cn._check_bc("solve", args.bc, args.m)
     if args.samples < 0:
         raise ValueError(f"solve: --samples must be >= 0 (got {args.samples})")
     w = solve_whole_plane(args.p, args.alpha, args.m, args.tol)
-    sol_dict = _solution(w, args.bc, args.m).to_dict(samples=args.samples)
+    dump = _dump(w, args.bc, args.m, args.samples)
     if args.format == "json":
-        _emit(_to_json(sol_dict), args.out)
+        _emit(_to_json(dump), args.out)
         return 0
-    samples = sol_dict.get("samples")
+    samples = dump.get("samples")
     if samples is None:
         raise ValueError("solve: csv output requires --samples N")
     _emit(_to_csv(list(samples), samples.values()), args.out)
@@ -354,27 +372,24 @@ def _config_float(text: str) -> float:
 def _cmd_sweep(args) -> int:
     cfg = _parse_sweep_config(args.config)
     tol = cfg.get("tol")
-    for bc in cfg["bc"]:
-        if bc not in ("dirichlet", "neumann", "plane"):
-            raise ValueError(f"sweep: unknown bc {bc!r}")
     for m in cfg["m"]:
         if not m.is_integer():
             raise ValueError(f"sweep: m={m!r} is not an integer")
+    for bc in cfg["bc"]:
+        # the least m decides: the rule is a lower bound on m
+        cn._check_bc("sweep", bc, int(min(cfg["m"])))
     combos = sorted(
         (bc, int(m), float(alpha), float(p))
         for bc in cfg["bc"] for m in cfg["m"] for alpha in cfg["alpha"]
         for p in cfg["p"]
     )
-    for bc, m, alpha, p in combos:
-        if bc == "neumann" and m < 2:
-            raise ValueError(f"sweep: m={m} invalid for bc={bc}")
     sols = prefetch_solutions([(p, alpha, m) for bc, m, alpha, p in combos], tol,
                               workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = []
     for (bc, m, alpha, p), w in zip(combos, sols):
-        payload = _solution(w, bc, m).to_dict()
+        payload = _dump(w, bc, m)
         name = f"solve_{bc}_m{m}_alpha{_fmt(alpha, 6)}_p{_fmt(p, 6)}.json"
         (out_dir / name).write_text(_to_json(payload), encoding="utf-8", newline="")
         index.append(name)
@@ -434,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--alpha", type=float, default=0.0)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--bc", choices=("dirichlet", "neumann", "plane"), required=True)
+    s.add_argument("--bc", choices=tuple(cn._MIN_M), required=True)
     s.add_argument("--samples", type=int, default=0, metavar="N",
                    help="print min(N, nodes) samples: the stored solver nodes (inside "
                         "the disc for dirichlet/neumann), spaced evenly by index")
@@ -446,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="finite-p vs asymptotic convergence report")
     v.add_argument("--m", type=int, required=True)
     v.add_argument("--alpha", type=float, default=0.0)
-    v.add_argument("--bc", choices=("dirichlet", "neumann", "plane"), required=True)
+    v.add_argument("--bc", choices=tuple(cn._MIN_M), required=True)
     v.add_argument("--p", type=_float_list, required=True,
                    help="comma-separated increasing exponents, e.g. 50,100,200")
     v.add_argument("--tol", type=float, default=None)

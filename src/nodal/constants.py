@@ -103,6 +103,19 @@ def _check_alpha(where: str, alpha: float) -> None:
         raise ValueError(f"{where}: alpha must be finite and >= 0 (got {alpha!r})")
 
 
+#: the least number of nodal regions each boundary condition admits;
+#: Neumann solutions are necessarily sign-changing
+_MIN_M = {"dirichlet": 1, "neumann": 2, "plane": 1}
+
+
+def _check_bc(where: str, bc: str, m: int, bcs: tuple[str, ...] = tuple(_MIN_M)) -> None:
+    """Reject a boundary condition outside ``bcs``, or an m it does not admit."""
+    if bc not in bcs:
+        raise ValueError(f"{where}: unknown bc {bc!r}")
+    if m < _MIN_M[bc]:
+        raise ValueError(f"{where}: m={m} invalid for bc={bc}")
+
+
 def _theta_step(theta_prev: float) -> float:
     y = 2.0 / (2.0 + theta_prev)
     return 2.0 / lambert_w0(y * math.exp(-y)) + 2.0
@@ -413,10 +426,7 @@ def whole_plane_limits_suite(
 
 def energy_limit(m: int, alpha: float, bc: str) -> float:
     """Limit of ``p * int_0^1 |u'|^2 r dr`` for the m-region solution."""
-    if bc not in ("dirichlet", "neumann"):
-        raise ValueError(f"energy_limit: unknown boundary condition {bc!r}")
-    if m < 1 or (bc == "neumann" and m < 2):
-        raise ValueError(f"energy_limit: m={m} invalid for bc={bc}")
+    _check_bc("energy_limit", bc, m, bcs=("dirichlet", "neumann"))
     _check_alpha("energy_limit", alpha)
     th = _theta_head(m)[-1]
     if bc == "dirichlet":

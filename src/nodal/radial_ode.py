@@ -176,25 +176,6 @@ class WholePlaneSolution:
     def eval_ut(self, t):
         return self.eval_state(t)[1]
 
-    def to_dict(self, samples: int = 0) -> dict:
-        out = {
-            "p": self.p,
-            "alpha": self.alpha,
-            "bc": "plane",
-            "m": self.m_max,
-            "log_zeros": self.log_zeros.tolist(),
-            "log_crit": self.log_crit.tolist(),
-            "crit_values": self.crit_values.tolist(),
-        }
-        if samples > 0:
-            idx = np.unique(np.linspace(0, len(self.t) - 1, samples).astype(int))
-            out["samples"] = {
-                "t": self.t[idx].tolist(),
-                "u": self.u[idx].tolist(),
-                "ut": self.ut[idx].tolist(),
-            }
-        return out
-
 
 def _series_state(p: float, alpha: float, t: np.ndarray) -> np.ndarray:
     """Two-term small-radius expansion of the state (valid where e^(qt) is tiny)."""
@@ -673,28 +654,6 @@ class RadialSolution:
             t = self.log_scale + np.log(r_arr)
         out = self._disc(self.plane.eval_u(t))
         return float(out) if r_arr.ndim == 0 else out
-
-    def to_dict(self, samples: int = 0) -> dict:
-        out = {
-            "p": self.p,
-            "alpha": self.alpha,
-            "bc": self.bc,
-            "m": self.m,
-            "log_zeros": self.log_zeros.tolist(),
-            "log_crit": self.log_crit.tolist(),
-            "crit_values": self.crit_values.tolist(),
-            "boundary_derivative": self.boundary_derivative,
-            "energy_grad": self.energy_grad,
-            "energy_pot": self.energy_pot,
-        }
-        if samples > 0:
-            mask = self.plane.t <= self.log_scale
-            ts = self.plane.t[mask]
-            us = self.plane.u[mask]
-            idx = np.unique(np.linspace(0, len(ts) - 1, samples).astype(int))
-            r = np.exp(ts[idx] - self.log_scale)
-            out["samples"] = {"r": r.tolist(), "u": self._disc(us[idx]).tolist()}
-        return out
 
 
 def dirichlet_solution(w: WholePlaneSolution, m: int) -> RadialSolution:

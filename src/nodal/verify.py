@@ -165,15 +165,12 @@ def convergence_report(
     ``p_list`` must be strictly increasing with every entry > 1.  Per-p
     solves are dispatched concurrently; report assembly is deterministic.
     """
-    if bc not in ("dirichlet", "neumann", "plane"):
-        raise ValueError(f"convergence_report: unknown bc {bc!r}")
     ps = [float(p) for p in p_list]
     if len(ps) == 0 or any(not p > 1.0 for p in ps):
         raise ValueError("convergence_report: p_list entries must be > 1")
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("convergence_report: p_list must be strictly increasing")
-    if m < 1 or (bc == "neumann" and m < 2):
-        raise ValueError(f"convergence_report: m={m} invalid for bc={bc}")
+    cn._check_bc("convergence_report", bc, m)
     q = alpha + 2.0
     m_max = m + 1 if bc == "plane" else m
     sols = prefetch_solutions([(p, alpha, m_max) for p in ps], tol)

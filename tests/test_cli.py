@@ -218,7 +218,12 @@ def test_bounds_csv_matches_scalar_oracle(capsys, kmax, mmax):
     header = ["check", "index", "lower", "value", "upper", "holds"]
     rows = [[r.check, r.index, r.lower, r.value, r.upper, "true" if r.holds else "false"]
             for r in _scalar_bounds_rows(kmax, mmax)]
-    assert out == _csv_chain_oracle(header, rows)
+    # exact, line by line: a failure names its first differing line at once,
+    # where one == on the 1.9 MB text spends minutes in pytest's string diff
+    got, want = out.split("\n"), _csv_chain_oracle(header, rows).split("\n")
+    first = next((j for j, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert first is None, f"line {first}: {got[first]!r} != {want[first]!r}"
+    assert len(got) == len(want)
 
 
 def test_bounds_json_matches_scalar_oracle(capsys):
@@ -242,10 +247,16 @@ def test_bounds_csv_builds_no_theta_reports(capsys, monkeypatch):
     assert built[0] == 0
 
 
-def test_solve_validation_exit_codes(capsys):
+def test_solve_validation_exit_codes(capsys, monkeypatch):
     assert run(["solve", "--p", "2", "--alpha", "0", "--m", "1", "--bc", "neumann"]) == 1
     _, err = _capture(capsys)
-    assert "Neumann" in err
+    assert err == "nodal: error: solve: m=1 invalid for bc=neumann\n"
+    # the (bc, m) rule rejects before any solve: at p = 1.0001 a disc read
+    # after the solve would be a numerical failure (exit 2)
+    solves = []
+    monkeypatch.setattr(ro, "_solve_impl", lambda *key: solves.append(key))
+    assert run(["solve", "--p", "1.0001", "--m", "1", "--bc", "neumann"]) == 1
+    assert solves == []
     assert run(["solve", "--p", "0.5", "--m", "1", "--bc", "dirichlet"]) == 1
     assert run(["solve", "--p", "10", "--m", "0", "--bc", "dirichlet"]) == 1
     assert run(["solve", "--p", "10", "--m", "1", "--bc", "dirichlet",
@@ -292,20 +303,18 @@ def test_solve_csv_matches_chain_oracle(capsys, bc, m):
     assert run(["solve", "--p", "40", "--alpha", "1", "--m", str(m), "--bc", bc,
                 "--samples", "60", "--format", "csv"]) == 0
     out, _ = _capture(capsys)
-    w = ro.solve_whole_plane(40.0, 1.0, m)
-    sol = {"plane": w, "dirichlet": ro.dirichlet_solution(w, m),
-           "neumann": ro.neumann_solution(w, m)}[bc]
-    samples = sol.to_dict(samples=60)["samples"]
+    samples = cli._dump(ro.solve_whole_plane(40.0, 1.0, m), bc, m, samples=60)["samples"]
     header = list(samples)
     rows = [[samples[name][j] for name in header] for j in range(len(samples[header[0]]))]
     assert out == _csv_chain_oracle(header, rows)
 
 
 @pytest.mark.parametrize("n", [1, 60, 100_000])
-@pytest.mark.parametrize("bc", ["plane", "dirichlet"])
+@pytest.mark.parametrize("bc", ["plane", "dirichlet", "neumann"])
 def test_solve_csv_prints_min_of_samples_and_nodes(capsys, bc, n):
     # --samples N prints the stored nodes (those inside the disc, on the disc)
-    # spaced evenly by index: min(N, nodes) rows
+    # spaced evenly by index: min(N, nodes) rows; the Neumann disc ends at a
+    # critical point, not at a zero
     m = 2
     assert run(["solve", "--p", "40", "--m", str(m), "--bc", bc, "--samples", str(n),
                 "--format", "csv"]) == 0
@@ -314,7 +323,8 @@ def test_solve_csv_prints_min_of_samples_and_nodes(capsys, bc, n):
     if bc == "plane":
         nodes = len(w.t)
     else:
-        nodes = int(np.count_nonzero(w.t <= ro.dirichlet_solution(w, m).log_scale))
+        disc = (ro.dirichlet_solution if bc == "dirichlet" else ro.neumann_solution)(w, m)
+        nodes = int(np.count_nonzero(w.t <= disc.log_scale))
     assert 60 < nodes < 100_000
     assert out.count("\n") - 1 == min(n, nodes)
 
@@ -496,7 +506,7 @@ def test_sweep(tmp_path, capsys):
         assert (out_dir2 / f).read_text() == blob
 
 
-def test_sweep_validation(tmp_path, capsys):
+def test_sweep_validation(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("p = 30\nm = 1\nalpha = 0\nbc = neumann\n", encoding="utf-8")
     assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -513,6 +523,13 @@ def test_sweep_validation(tmp_path, capsys):
     cfg4.write_text("p = 30\nm = 2.5\nalpha = 0\nbc = dirichlet\n", encoding="utf-8")
     assert run(["sweep", "--config", str(cfg4), "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
+    # the (bc, m) rule rejects before any solve
+    solves = []
+    monkeypatch.setattr(ro, "_solve_impl", lambda *key: solves.append(key))
+    cfg5 = tmp_path / "bad5.cfg"
+    cfg5.write_text("p = 1.0001\nm = 1\nalpha = 0\nbc = neumann\n", encoding="utf-8")
+    assert run(["sweep", "--config", str(cfg5), "--out", str(tmp_path / "o")]) == 1
+    assert solves == [] and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

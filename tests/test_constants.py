@@ -304,6 +304,8 @@ def test_energy_limits():
         cn.energy_limit(1, 0.0, "neumann")
     with pytest.raises(ValueError):
         cn.energy_limit(1, 0.0, "robin")
+    with pytest.raises(ValueError):  # a whole-plane solution has no disc energy
+        cn.energy_limit(2, 0, "plane")
 
 
 def test_gamma_alpha_m():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from nodal import bubbles as bb
+from nodal import cli
 from nodal import constants as cn
 from nodal import radial_ode as ro
 from nodal import verify as vf
@@ -267,15 +268,36 @@ def test_scaled_derivative_bounded():
     assert np.max(scaled) <= 2.0 * cap
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_no_uniform_a_priori_bound_at_finite_p(alpha):
+    # the paper's headline contrast at p = 1e4: for every m <= 30 the sup norm
+    # is u(0), close to M0(m), which grows like sqrt(m) inside its Gamma-ratio
+    # sandwich, and every |critical value| sits within 1e-3 of its limit
+    w = ro.solve_whole_plane(1e4, alpha, 30)
+    for m in range(1, 31):
+        tab = cn.constant_table(m, alpha)
+        dirichlet = np.abs(ro.dirichlet_solution(w, m).crit_values)
+        assert np.max(np.abs(dirichlet - tab.M) / tab.M) <= 1e-3, m
+        assert np.argmax(dirichlet) == 0, m
+        if m == 1:
+            continue
+        mbar = cn.neumann_constants(m, tab).Mbar
+        neumann = np.abs(ro.neumann_solution(w, m).crit_values)
+        assert np.max(np.abs(neumann - mbar) / mbar) <= 1e-3, m
+        assert np.argmax(neumann) == 0, m
+        sandwich = cn.m0_bounds_check(m - 1)
+        assert sandwich.lower < dirichlet[0] < sandwich.upper, m
+
+
 def test_solution_dump_keys():
     w = ro.solve_whole_plane(50.0, 0.0, 2)
-    d = ro.dirichlet_solution(w, 2).to_dict(samples=16)
+    d = cli._dump(w, "dirichlet", 2, samples=16)
     assert set(d) == {
         "p", "alpha", "bc", "m", "log_zeros", "log_crit", "crit_values",
         "boundary_derivative", "energy_grad", "energy_pot", "samples",
     }
     assert len(d["samples"]["r"]) <= 16
-    wp = w.to_dict()
+    wp = cli._dump(w, "plane", 2)
     assert wp["bc"] == "plane" and "samples" not in wp
 
 
@@ -547,7 +569,7 @@ def test_disc_view_matches_eager_rescaling(p, alpha):
             fields, amp = _eager_disc_fields(w, bc, m)
             for name, value in fields.items():
                 assert np.array_equal(getattr(d, name), value), (bc, m, name)
-            dump = d.to_dict(samples=40)
+            dump = cli._dump(w, bc, m, samples=40)
             for name in ("log_zeros", "log_crit", "crit_values"):
                 assert dump[name] == fields[name].tolist(), (bc, m, name)
             for name in ("boundary_derivative", "energy_grad", "energy_pot"):

@@ -38,6 +38,8 @@ def test_convergence_report_validation():
         vf.convergence_report(1, 0.0, "dirichlet", [0.5, 2.0])
     with pytest.raises(ValueError):
         vf.convergence_report(1, 0.0, "neumann", [50.0, 100.0])
+    with pytest.raises(ValueError):
+        vf.convergence_report(1, 0, "neumann", [1.0001])
 
 
 def test_convergence_report_m1_dirichlet():
