@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .constants import _check_alpha, _theta_head
+from .constants import _check_alpha, _check_count, _theta_head
 from .constants import theta_sequence  # noqa: F401  perfbench/layertrace.py wraps this binding
 
 __all__ = [
@@ -84,8 +84,7 @@ class BubbleSpec:
 
 def bubble_spec(i: int, alpha: float = 0.0) -> BubbleSpec:
     """Construct the :class:`BubbleSpec` for region index ``i``."""
-    if i < 0:
-        raise ValueError("bubble_spec: i must be >= 0")
+    _check_count("bubble_spec", "i", i, 0)
     _check_alpha("bubble_spec", alpha)
     th = _theta_head(i + 1)[-1]
     if i == 0:
@@ -191,8 +190,10 @@ def _integrate_weighted(spec: BubbleSpec, power: float, split: float) -> tuple[f
     outer, err_out = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
     total = inner + outer
     err = err_in + err_out
-    if not math.isfinite(total) or (total != 0 and err / abs(total) > 1e-9):
-        raise QuadratureError("bubble quadrature did not converge", err)
+    if not (math.isfinite(total) and total > 0.0) or err / total > 1e-9:
+        # the integrand is positive, so a zero total means every node underflowed
+        why = "underflowed" if total == 0.0 else "did not converge"
+        raise QuadratureError(f"bubble quadrature {why}", err)
     return inner, outer
 
 
@@ -218,8 +219,7 @@ def bubble_split_integrals(spec: BubbleSpec) -> SplitIntegrals:
     """
     if spec.alpha != 0.0:
         raise ValueError("bubble_split_integrals: defined for alpha = 0 only")
-    if spec.i < 1:
-        raise ValueError("bubble_split_integrals: requires i >= 1")
+    _check_count("bubble_split_integrals", "i", spec.i, 1)
     inner, outer = _integrate_weighted(spec, 1.0, spec.sigma_i_alpha)
     return SplitIntegrals(inner=inner, outer=outer)
 

@@ -223,7 +223,7 @@ def _dump(w, bc: str, m: int, samples: int = 0) -> dict:
         out.update(boundary_derivative=sol.boundary_derivative,
                    energy_grad=sol.energy_grad, energy_pot=sol.energy_pot)
     if samples > 0:
-        idx = np.unique(np.linspace(0, nodes - 1, samples).astype(int))
+        idx = np.unique(np.linspace(0, nodes - 1, min(samples, nodes)).astype(int))
         # on the disc, |u| <= 1 keeps the scaled values finite
         out["samples"] = ({"t": w.t[idx].tolist(), "u": w.u[idx].tolist(),
                            "ut": w.ut[idx].tolist()} if bc == "plane" else
@@ -234,8 +234,7 @@ def _dump(w, bc: str, m: int, samples: int = 0) -> dict:
 
 def _cmd_solve(args) -> int:
     cn._check_bc("solve", args.bc, args.m)
-    if args.samples < 0:
-        raise ValueError(f"solve: --samples must be >= 0 (got {args.samples})")
+    cn._check_count("solve", "--samples", args.samples, 0)
     w = solve_whole_plane(args.p, args.alpha, args.m, args.tol)
     dump = _dump(w, args.bc, args.m, args.samples)
     if args.format == "json":
@@ -262,8 +261,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bubble(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"bubble: --n must be >= 1 (got {args.n})")
+    cn._check_count("bubble", "--n", args.n, 1)
     spec = bubble_spec(args.i, args.alpha)
     if args.rmin is None:
         args.rmin = spec.concentration_radius / 100.0

@@ -41,11 +41,14 @@ columns, and every sandwich is checked over whole columns by one rule,
 ``_sandwich``.  The scalar checks (:func:`theta_bounds_check`,
 :func:`m0_bounds_check`, :func:`sup_norm_bounds`) read their rows off the
 suites, and :func:`whole_plane_limits` is the last entry of its suite.
+
+Every module validates a count by ``_check_count`` and p by ``_check_p``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -97,6 +100,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_integer(where: str, name: str, value) -> None:
+    """The count rule's integer test; a ``bool`` is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{where}: {name} must be an integer (got {value!r})")
+
+
+def _check_count(where: str, name: str, value: int, least: int, most: int | None = None) -> None:
+    """The one count rule: an integer in ``least..most`` (``least..`` with no ``most``)."""
+    _check_integer(where, name, value)
+    if value < least:
+        raise ValueError(f"{where}: {name} must be >= {least} (got {value})")
+    if most is not None and value > most:
+        raise ValueError(f"{where}: {name}={value} out of range {least}..{most}")
+
+
+def _check_p(where: str, p: float) -> None:
+    """The one exponent rule: p is finite and > 1."""
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"{where}: p must be finite and > 1 (got {p!r})")
+
+
 def _check_alpha(where: str, alpha: float) -> None:
     """Reject a weight exponent that is negative, NaN or infinite."""
     if not (math.isfinite(alpha) and alpha >= 0.0):
@@ -109,9 +133,10 @@ _MIN_M = {"dirichlet": 1, "neumann": 2, "plane": 1}
 
 
 def _check_bc(where: str, bc: str, m: int, bcs: tuple[str, ...] = tuple(_MIN_M)) -> None:
-    """Reject a boundary condition outside ``bcs``, or an m it does not admit."""
+    """Reject a bc outside ``bcs``, or an m that is not an integer or that the bc does not admit."""
     if bc not in bcs:
         raise ValueError(f"{where}: unknown bc {bc!r}")
+    _check_integer(where, "m", m)
     if m < _MIN_M[bc]:
         raise ValueError(f"{where}: m={m} invalid for bc={bc}")
 
@@ -165,8 +190,7 @@ class ThetaTable:
 
 def theta_sequence(k_max: int) -> ThetaTable:
     """Compute ``theta_0 .. theta_k_max`` together with the a_seq oracle."""
-    if k_max < 0:
-        raise ValueError("theta_sequence: k_max must be >= 0")
+    _check_count("theta_sequence", "k_max", k_max, 0)
     theta = np.array(_theta_head(k_max + 1))
     # a Python list keeps the Halley loop in lambert_w0 on plain floats
     a_seq = [math.nan]
@@ -261,8 +285,7 @@ def constant_table(
     read instead of running the recursion; the table is the same bit for
     bit.
     """
-    if m < 1:
-        raise ValueError("constant_table: m must be >= 1")
+    _check_count("constant_table", "m", m, 1)
     _check_alpha("constant_table", alpha)
     logs = _TableLogs(m, theta)
     R = np.full(m, math.nan)
@@ -294,8 +317,7 @@ def m0_product_formula(m: int) -> float:
     The m = 0 instance is taken to be the base value sqrt(e) (empty
     product convention).
     """
-    if m < 0:
-        raise ValueError("m0_product_formula: m must be >= 0")
+    _check_count("m0_product_formula", "m", m, 0)
     if m == 0:
         return SQRT_E
     return next(islice(_m0_values(_thetas()), m - 1, None))
@@ -308,8 +330,7 @@ def m0_sequence(m_max: int, theta: ThetaTable | None = None) -> np.ndarray:
     is ``theta_sequence(k)`` for some k >= m_max - 1, is read instead of
     running the recursion.
     """
-    if m_max < 1:
-        raise ValueError("m0_sequence: m_max must be >= 1")
+    _check_count("m0_sequence", "m_max", m_max, 1)
     out = np.empty(m_max)
     out[0] = SQRT_E
     out[1:] = np.fromiter(_m0_values(_theta_head(m_max, theta)), float, m_max - 1)
@@ -323,8 +344,7 @@ def m0_over_sqrt_m(m: int) -> float:
     the sqrt(pi) / 6*Gamma(3/4)/Gamma(1/4) sandwich is proved, so callers
     should treat the value as reported, not certified monotone.
     """
-    if m < 1:
-        raise ValueError("m0_over_sqrt_m: m must be >= 1")
+    _check_count("m0_over_sqrt_m", "m", m, 1)
     return m0_product_formula(m) / math.sqrt(m)
 
 
@@ -356,8 +376,7 @@ def neumann_constants(m: int, table: ConstantTable | None = None) -> NeumannCons
     ``table``, when it is the Dirichlet table for this m, is rescaled
     instead of building a new one.
     """
-    if m < 2:
-        raise ValueError("neumann_constants: m must be >= 2")
+    _check_count("neumann_constants", "m", m, 2)
     tab = table if table is not None and table.m == m else constant_table(m)
     s_last = tab.S[m - 1]
     Rbar = tab.R / s_last
@@ -391,8 +410,7 @@ def whole_plane_limits(m: int, alpha: float = 0.0) -> WholePlaneLimits:
 
     They are read from the Dirichlet tables for m and m+1 regions.
     """
-    if m < 1:
-        raise ValueError("whole_plane_limits: m must be >= 1")
+    _check_count("whole_plane_limits", "m", m, 1)
     _check_alpha("whole_plane_limits", alpha)
     return whole_plane_limits_suite(m, alpha)[-1]
 
@@ -405,8 +423,7 @@ def whole_plane_limits_suite(
     ``theta``, when it is ``theta_sequence(k)`` for some k >= m_max, is
     read instead of running the recursion.
     """
-    if m_max < 1:
-        raise ValueError("whole_plane_limits_suite: m_max must be >= 1")
+    _check_count("whole_plane_limits_suite", "m_max", m_max, 1)
     _check_alpha("whole_plane_limits_suite", alpha)
     logs = _TableLogs(m_max + 1, theta)
     q = alpha + 2.0
@@ -437,8 +454,7 @@ def energy_limit(m: int, alpha: float, bc: str) -> float:
 
 def gamma_alpha_m(alpha: float, m: int) -> float:
     """Signed strength of the logarithmic limit profile of ``p*u``."""
-    if m < 1:
-        raise ValueError("gamma_alpha_m: m must be >= 1")
+    _check_count("gamma_alpha_m", "m", m, 1)
     _check_alpha("gamma_alpha_m", alpha)
     th = _theta_head(m)[-1]
     sign = 1.0 if m % 2 == 1 else -1.0
@@ -552,15 +568,13 @@ def theta_bounds_check(k: int) -> BoundsReport:
     ``holds`` additionally requires the companion chain
     ``1/(4k+1) < W(1/(4k)) < a_seq[k] < 1/(4k)``.
     """
-    if k < 1:
-        raise ValueError("theta_bounds_check: k must be >= 1")
+    _check_count("theta_bounds_check", "k", k, 1)
     return _theta_sandwich(theta_sequence(k), np.arange(k, k + 1))[0]
 
 
 def theta_bounds_suite(k_max: int) -> BoundsTable:
     """:func:`theta_bounds_check` for k = 1..k_max off one shared table, as columns."""
-    if k_max < 1:
-        raise ValueError(f"theta_bounds_suite: k_max must be >= 1 (got {k_max})")
+    _check_count("theta_bounds_suite", "k_max", k_max, 1)
     return _theta_sandwich(theta_sequence(k_max), np.arange(1, k_max + 1))
 
 
@@ -576,15 +590,13 @@ def _m0_gamma_bounds(m: int) -> tuple[float, float]:
 
 def m0_bounds_check(m: int) -> BoundsReport:
     """Gamma-ratio sandwich for the sup-norm limit ``constant_table(m+1).M[0]``."""
-    if m < 1:
-        raise ValueError("m0_bounds_check: m must be >= 1")
+    _check_count("m0_bounds_check", "m", m, 1)
     return m0_bounds_suite(m)[-1]
 
 
 def m0_bounds_suite(m_max: int) -> BoundsTable:
     """:func:`m0_bounds_check` for m = 1..m_max with a running product, as columns."""
-    if m_max < 1:
-        raise ValueError("m0_bounds_suite: m_max must be >= 1")
+    _check_count("m0_bounds_suite", "m_max", m_max, 1)
     ms = range(1, m_max + 1)
     lower, upper = zip(*map(_m0_gamma_bounds, ms))
     value = np.fromiter(_m0_values(_thetas()), float, m_max)
@@ -598,8 +610,7 @@ def sup_norm_bounds(m: int) -> list[BoundsReport]:
     sandwich ``exp(-1/(4m-2)) < S[m-1] < exp(-1/(4m-1))``, and
     ``neumann_sup``, which relies on it.
     """
-    if m < 1:
-        raise ValueError("sup_norm_bounds: m must be >= 1")
+    _check_count("sup_norm_bounds", "m", m, 1)
     return [r for r in sup_norm_bounds_suite(m) if r.index == m]
 
 
@@ -608,8 +619,7 @@ def sup_norm_bounds_suite(m_max: int) -> BoundsTable:
 
     Returned as columns, a :class:`BoundsTable`.
     """
-    if m_max < 1:
-        raise ValueError("sup_norm_bounds_suite: m_max must be >= 1")
+    _check_count("sup_norm_bounds_suite", "m_max", m_max, 1)
     logs = _TableLogs(m_max)
     ms = range(1, m_max + 1)
     m0 = np.array([logs.M(m, 0) for m in ms])
@@ -629,13 +639,11 @@ def sup_norm_bounds_suite(m_max: int) -> BoundsTable:
 
 def morse_conjecture(m: int) -> int:
     """Conjectured Morse index ``4m^2 - m - 2`` of the m-region solution."""
-    if m < 1:
-        raise ValueError("morse_conjecture: m must be >= 1")
+    _check_count("morse_conjecture", "m", m, 1)
     return 4 * m * m - m - 2
 
 
 def bubble_morse(k: int) -> int:
     """Morse index of the k-th limit bubble: 1 for k = 0, else ``8k + 3``."""
-    if k < 0:
-        raise ValueError("bubble_morse: k must be >= 0")
+    _check_count("bubble_morse", "k", k, 0)
     return 1 if k == 0 else 8 * k + 3

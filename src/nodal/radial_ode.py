@@ -53,7 +53,7 @@ from scipy.integrate import DOP853, ode, tanhsinh
 from scipy.optimize import brentq
 
 from .bubbles import QuadratureError
-from .constants import _check_alpha, m0_product_formula
+from .constants import _check_alpha, _check_count, _check_p, m0_product_formula
 
 __all__ = [
     "SolverError",
@@ -285,13 +285,9 @@ class _DenseOutput:
 
 def _solve_key(p: float, alpha: float, m_max: int, tol: float) -> tuple:
     """Validated memo key (p, alpha, m_max, tol) of one whole-plane solve."""
-    if not math.isfinite(p):
-        raise ValueError(f"solve_whole_plane: p must be finite (p={p!r})")
-    if not p > 1.0:
-        raise ValueError("solve_whole_plane: p must be > 1")
+    _check_p("solve_whole_plane", p)
     _check_alpha("solve_whole_plane", alpha)
-    if m_max < 1:
-        raise ValueError("solve_whole_plane: m_max must be >= 1")
+    _check_count("solve_whole_plane", "m_max", m_max, 1)
     return (float(p), float(alpha), int(m_max), tol)
 
 
@@ -314,8 +310,8 @@ def solve_whole_plane(
     Raises
     ------
     ValueError
-        If p or alpha is not finite, p <= 1, alpha < 0, m_max < 1 or tol
-        is outside (0, 1).
+        If p or alpha is not finite, p <= 1, alpha < 0, m_max is not an
+        integer >= 1 or tol is outside (0, 1).
     SolverError
         If the step controller fails, fewer than ``m_max`` zeros are found
         before the t cap, or the zero/critical interlacing is violated.
@@ -524,7 +520,7 @@ def prefetch_solutions(
     other distinct key is solved once; the new solutions enter the memo in
     key order.  Errors raised by a solve propagate unchanged, the first in
     key order, and the solutions before it stay memoized.  ``workers``
-    defaults to one per job up to the CPU count; it must be >= 1.
+    defaults to one per job up to the CPU count; it must be an integer >= 1.
 
     A batch with more than one worker runs on the process's one solve
     pool: forked by the first such batch and reused by later ones,
@@ -537,8 +533,8 @@ def prefetch_solutions(
     a new one, or ran sequentially, and why.  A batch served wholly from
     the memo logs nothing.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"prefetch_solutions: workers must be >= 1 (got {workers})")
+    if workers is not None:
+        _check_count("prefetch_solutions", "workers", workers, 1)
     if tol is None:
         tol = default_tolerance()
     elif not 0.0 < tol < 1.0:
@@ -658,8 +654,7 @@ class RadialSolution:
 
 def dirichlet_solution(w: WholePlaneSolution, m: int) -> RadialSolution:
     """Dirichlet solution with m nodal regions: w rescaled at its m-th zero."""
-    if not 1 <= m <= w.m_max:
-        raise ValueError(f"dirichlet_solution: m={m} out of range 1..{w.m_max}")
+    _check_count("dirichlet_solution", "m", m, 1, w.m_max)
     return RadialSolution("dirichlet", m, w.p, w.alpha, float(w.log_zeros[m - 1]),
                           w.zero_states[m - 1], w)
 
@@ -670,10 +665,7 @@ def neumann_solution(w: WholePlaneSolution, m: int) -> RadialSolution:
     Nontrivial Neumann solutions are necessarily sign-changing, so m = 1 is
     rejected.
     """
-    if m < 2:
-        raise ValueError("neumann_solution: m must be >= 2 (solutions are nodal)")
-    if m > w.m_max:
-        raise ValueError(f"neumann_solution: m={m} out of range 2..{w.m_max}")
+    _check_count("neumann_solution", "m", m, 2, w.m_max)
     return RadialSolution("neumann", m, w.p, w.alpha, float(w.log_crit[m - 2]),
                           w.crit_states[m - 2], w)
 
@@ -784,8 +776,7 @@ def rescaled_profile(sol: RadialSolution, i: int, r_grid: np.ndarray) -> Rescale
     ``xi(r) = p ((-1)^i u(eps_i r) - |u(s_i)|) / |u(s_i)|``.  The grid
     must lie inside the image of the i-th nodal annulus.
     """
-    if not 0 <= i <= sol.m - 1:
-        raise ValueError(f"rescaled_profile: i={i} out of range 0..{sol.m - 1}")
+    _check_count("rescaled_profile", "i", i, 0, sol.m - 1)
     p, q = sol.p, sol.alpha + 2.0
     # |u(s_i)| = e^(kappa L) |w(delta_i)|, with w(delta_0) = w(0) = 1
     w_crit = 1.0 if i == 0 else abs(float(sol.plane.crit_states[i - 1, 0]))

@@ -162,12 +162,14 @@ def convergence_report(
     """Solve at every p in the sweep and compare the tracked quantities.
 
     ``bc`` is one of ``dirichlet``, ``neumann`` (m >= 2) or ``plane``.
-    ``p_list`` must be strictly increasing with every entry > 1.  Per-p
+    ``p_list`` must be strictly increasing, each entry finite and > 1.  Per-p
     solves are dispatched concurrently; report assembly is deterministic.
     """
     ps = [float(p) for p in p_list]
-    if len(ps) == 0 or any(not p > 1.0 for p in ps):
-        raise ValueError("convergence_report: p_list entries must be > 1")
+    if not ps:
+        raise ValueError("convergence_report: p_list is empty")
+    for p in ps:
+        cn._check_p("convergence_report", p)
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("convergence_report: p_list must be strictly increasing")
     cn._check_bc("convergence_report", bc, m)

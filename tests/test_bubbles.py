@@ -104,6 +104,16 @@ def test_split_integrals():
         assert abs(split.inner + split.outer - 2.0 * th[i]) <= 1e-8 * th[i]
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: bb.bubble_mass(bb.bubble_spec(20, 1e6)), id="mass"),
+    pytest.param(lambda: bb.bubble_split_integrals(bb.bubble_spec(100000)), id="split"),
+])
+def test_underflowed_quadrature_raises(call):
+    # every quadrature node underflows, and quad reports 0 with error estimate 0
+    with pytest.raises(bb.QuadratureError, match="bubble quadrature underflowed"):
+        call()
+
+
 def test_split_integrals_domain():
     with pytest.raises(ValueError):
         bb.bubble_split_integrals(bb.bubble_spec(0, 0.0))

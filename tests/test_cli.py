@@ -329,6 +329,20 @@ def test_solve_csv_prints_min_of_samples_and_nodes(capsys, bc, n):
     assert out.count("\n") - 1 == min(n, nodes)
 
 
+def test_solve_samples_beyond_nodes_prints_every_node(capsys):
+    # N >= nodes selects every node; only min(N, nodes) indices are spaced, so
+    # N = 10**12 allocates no more than N = nodes does
+    argv = ["solve", "--p", "200", "--m", "3", "--bc", "dirichlet", "--format", "csv",
+            "--samples"]
+    w = ro.solve_whole_plane(200.0, 0.0, 3)
+    nodes = int(np.count_nonzero(w.t <= ro.dirichlet_solution(w, 3).log_scale))
+    assert run([*argv, str(nodes)]) == 0
+    every_node = _capture(capsys)
+    assert every_node[0].count("\n") == nodes + 1
+    assert run([*argv, str(10**12)]) == 0
+    assert _capture(capsys) == every_node
+
+
 def test_solve_csv_without_samples_rejected(capsys):
     assert run(["solve", "--p", "40", "--m", "1", "--bc", "dirichlet",
                 "--format", "csv"]) == 1
@@ -477,6 +491,14 @@ def test_bubble_nonpositive_n_rejected(capsys, n):
     assert run(["bubble", "--i", "1", "--n", n]) == 1
     out, err = _capture(capsys)
     assert out == "" and f"nodal: error: bubble: --n must be >= 1 (got {n})" in err
+
+
+@pytest.mark.parametrize("argv", [["bubble", "--i", "100000", "--n", "3"],
+                                  ["bubble", "--i", "10", "--alpha", "1e300"]])
+def test_bubble_underflow_exit_code(capsys, argv):
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == "" and err.startswith("nodal: numerical failure: ") and err.count("\n") == 1
 
 
 def test_sweep(tmp_path, capsys):

@@ -470,6 +470,8 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         cn.morse_conjecture(0)
     with pytest.raises(ValueError):
+        cn.morse_conjecture(2.5)
+    with pytest.raises(ValueError):
         cn.bubble_morse(-1)
 
 

@@ -93,6 +93,8 @@ def test_dirichlet_structure():
     assert np.all(np.diff(ordering) > 0)
     with pytest.raises(ValueError):
         ro.dirichlet_solution(w, 4)
+    with pytest.raises(ValueError):
+        ro.dirichlet_solution(w, 2.5)
 
 
 def test_neumann_structure():
@@ -107,6 +109,8 @@ def test_neumann_structure():
         ro.neumann_solution(w, 1)
     with pytest.raises(ValueError):
         ro.neumann_solution(w, 4)
+    with pytest.raises(ValueError):
+        ro.neumann_solution(w, 2.5)
 
 
 def test_neumann_value_approaches_one():
@@ -223,6 +227,8 @@ def test_rescaled_profile_domain_rejection():
         ro.rescaled_profile(d, 1, np.array([0.0]))
     with pytest.raises(ValueError):
         ro.rescaled_profile(d, 5, np.array([1.0]))
+    with pytest.raises(ValueError):
+        ro.rescaled_profile(d, 0.5, np.array([1.0]))
 
 
 def test_scale_separation():

@@ -40,6 +40,12 @@ def test_convergence_report_validation():
         vf.convergence_report(1, 0.0, "neumann", [50.0, 100.0])
     with pytest.raises(ValueError):
         vf.convergence_report(1, 0, "neumann", [1.0001])
+    with pytest.raises(ValueError, match="^convergence_report: p must be finite"):
+        vf.convergence_report(2, 0.0, "dirichlet", [50.0, math.inf])
+    with pytest.raises(ValueError, match="^convergence_report: m must be an integer"):
+        vf.convergence_report(2.5, 0.0, "dirichlet", [50.0, 100.0])
+    with pytest.raises(ValueError, match="^convergence_report: p_list is empty"):
+        vf.convergence_report(2, 0.0, "dirichlet", [])
 
 
 def test_convergence_report_m1_dirichlet():
