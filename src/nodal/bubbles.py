@@ -11,12 +11,13 @@ adaptive quadrature.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .constants import _check_alpha, _check_count, _theta_head
 from .constants import theta_sequence  # noqa: F401  perfbench/layertrace.py wraps this binding
@@ -179,7 +180,6 @@ def _integrate_weighted(spec: BubbleSpec, power: float, split: float) -> tuple[f
     with exponent > 1 there, so the transformed integrand is bounded.
     """
     f = _weighted_integrand(spec, power)
-    inner, err_in = quad(f, 0.0, split, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
 
     def tail(u: float) -> float:
         if u <= 0.0:
@@ -187,7 +187,12 @@ def _integrate_weighted(spec: BubbleSpec, power: float, split: float) -> tuple[f
         s = split / u
         return f(s) * split / (u * u)
 
-    outer, err_out = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
+    # a failure is judged below from the error estimate, which the raised
+    # QuadratureError carries; quad's own warning would only add stderr lines
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        inner, err_in = quad(f, 0.0, split, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
+        outer, err_out = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
     total = inner + outer
     err = err_in + err_out
     if not (math.isfinite(total) and total > 0.0) or err / total > 1e-9:

@@ -24,7 +24,8 @@ rebuilt after the fact from the step's endpoints and re-evaluated stages
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  The same rebuild
 over every step gives the dense output: built on first use, never
 pickled, evaluated on one vectorized path, on which the shell flux
-integral is a tanh-sinh quadrature that starts at level 5.
+integral is an in-repo tanh-sinh quadrature, one dense evaluation per
+level from level 5 on.
 
 Every solve goes through :func:`prefetch_solutions`, which returns its
 solutions and is the one place that writes the memo;
@@ -37,6 +38,7 @@ worker count or when the pool breaks, and shut down at interpreter exit
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -49,7 +51,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853, ode, tanhsinh
+from scipy.integrate import DOP853, ode
 from scipy.optimize import brentq
 
 from .bubbles import QuadratureError
@@ -153,10 +155,11 @@ class WholePlaneSolution:
     def eval_state(self, t) -> np.ndarray:
         """Dense-output state at log-radius t (series continuation below
         the start point, down to t = -inf); t of any shape, returns shape
-        (4, *t.shape)."""
+        (4, *t.shape).  A NaN log-radius is a ValueError."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr > self.t_end + 1e-9):
-            raise ValueError("eval_state: log-radius beyond the integrated range")
+        if not np.all(t_arr <= self.t_end + 1e-9):
+            why = "is NaN" if np.any(np.isnan(t_arr)) else "beyond the integrated range"
+            raise ValueError(f"eval_state: log-radius {why}")
         if self._dense is None:
             nodes = np.vstack([self.t, self.u, self.ut, self._energy])
             nodes[:, -1] = self._step_end
@@ -694,16 +697,108 @@ def pohozaev_residual(sol: RadialSolution) -> float:
     return abs(sol.p * ep - rhs) / (sol.p * ep)
 
 
+#: tanh-sinh levels: the first pass takes every node up to _TS_FIRST, and an
+#: interval still open after _TS_TOP has not converged.  A gauge shell's
+#: slowest sub-interval mostly closes at level 5, so a level-4 start costs a
+#: second pass, and a level-6 start twice the points
+_TS_FIRST = 5
+_TS_TOP = 10
+
+#: an interval closes when its last two level sums differ by less than
+#: this, absolute or relative to the sum
+_TS_ATOL = 1e-15
+_TS_RTOL = 1e-12
+
+#: level-0 step: eight steps reach the abscissa whose distance to the end
+#: point is four times the smallest normal double, where the sum is cut off
+_TS_H0 = math.asinh(math.log(0.5 / np.finfo(float).tiny - 1.0) / math.pi) / 8.0
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@functools.cache
+def _ts_level(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distances 1 - x_j to the end point and weights of tanh-sinh level k
+    (step h0 / 2^k): every j at level 0, the odd j above, so that a level
+    holds only the nodes the coarser levels lack.  Cached, so read-only."""
+    n = 8 * 2**k
+    jh = (_TS_H0 / 2**k) * (np.arange(n + 1) if k == 0 else np.arange(1, n + 1, 2))
+    u = 0.5 * math.pi * np.sinh(jh)
+    cosh_u = np.cosh(u)
+    w = 0.5 * math.pi * np.cosh(jh) / (cosh_u * cosh_u)
+    if k == 0:
+        w[0] *= 0.5  # x_0 = 0 is reached from both end points
+    return _frozen(1.0 / (np.exp(u) * cosh_u), w)
+
+
+@functools.cache
+def _ts_upto(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels 0..k of ``_ts_level``, concatenated; read-only."""
+    xc, w = zip(*map(_ts_level, range(k + 1)))
+    return _frozen(np.concatenate(xc), np.concatenate(w))
+
+
+def _ts_terms(f, a: np.ndarray, b: np.ndarray, xc: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w_j (f(b - h xc_j) + f(a + h xc_j))`` with h = (b - a) / 2, one row
+    per interval, from one call of f on a flat array; a node that rounds
+    onto an end point counts as zero."""
+    a, b = a[:, None], b[:, None]
+    off = 0.5 * (b - a) * xc
+    x = np.hstack([b - off, a + off])
+    inside = (x > a) & (x < b)
+    fx = np.zeros(x.shape)
+    fx[inside] = f(x[inside])
+    return (fx[:, :xc.size] + fx[:, xc.size:]) * w
+
+
+def _tanh_sinh(f, a, b):
+    """Tanh-sinh quadrature (Takahasi & Mori, Publ. RIMS 9, 1974) of f
+    over every interval [a_i, b_i].
+
+    f maps a flat array of abscissae to values.  The first pass sums every
+    node up to level ``_TS_FIRST``; each further level halves the step and
+    adds only its own nodes, for the intervals still open.  An interval
+    closes when the difference of its last two level sums (Bailey,
+    Jeyabalan & Li, Experiment. Math. 14, 2005) is below ``_TS_ATOL`` or
+    ``_TS_RTOL`` times the sum.  Returns the sums, those differences, and
+    which intervals closed by level ``_TS_TOP``.
+    """
+    a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    half = 0.5 * (b - a)
+    terms = _ts_terms(f, a, b, *_ts_upto(_TS_FIRST))
+    h = _TS_H0 / 2**_TS_FIRST
+    total = h * half * terms.sum(axis=1)
+    coarse = 2.0 * h * half * terms[:, :_ts_upto(_TS_FIRST - 1)[1].size].sum(axis=1)
+    err = np.abs(total - coarse)
+    done = (err < _TS_ATOL) | (err < _TS_RTOL * np.abs(total))
+    for k in range(_TS_FIRST + 1, _TS_TOP + 1):
+        open_ = np.flatnonzero(~done)
+        if open_.size == 0:
+            break
+        h *= 0.5
+        new = 0.5 * total[open_] + h * half[open_] * _ts_terms(
+            f, a[open_], b[open_], *_ts_level(k)).sum(axis=1)
+        err[open_] = np.abs(new - total[open_])
+        total[open_] = new
+        done[open_] = (err[open_] < _TS_ATOL) | (err[open_] < _TS_RTOL * np.abs(new))
+    return total, err, done
+
+
 def flux_identity_residual(sol: RadialSolution, s: float, t: float) -> float:
     """Defect of ``u'(s)s - u'(t)t = int_s^t |u|^(p-1) u r^(1+alpha) dr``.
 
-    The right side is evaluated by independent adaptive tanh-sinh
-    quadrature (Takahasi & Mori 1974) on the dense trajectory in
-    log-radius, split at the zeros and critical points inside the shell,
-    so the residual measures how well the computed trajectory satisfies
-    the equation in integral form.  Reported relative to the derivative
-    scale max(|u'(s)s|, |u'(t)t|).  Raises QuadratureError unless every
-    sub-interval converges.
+    The right side is evaluated by independent adaptive quadrature on the
+    dense trajectory in log-radius, with the in-repo tanh-sinh rule
+    ``_tanh_sinh`` (levels 5 to 10, error estimated from the difference of
+    the last two levels), split at the zeros and critical points inside the
+    shell, so the residual measures how well the computed trajectory
+    satisfies the equation in integral form.  Reported relative to the
+    derivative scale max(|u'(s)s|, |u'(t)t|).  Raises QuadratureError
+    unless every sub-interval converges.
     """
     if not 0.0 < s < t <= 1.0:
         raise ValueError("flux_identity_residual: need 0 < s < t <= 1")
@@ -713,14 +808,11 @@ def flux_identity_residual(sol: RadialSolution, s: float, t: float) -> float:
     tb = sol.log_scale + math.log(t)
     breaks = np.sort(np.concatenate([plane.log_zeros, plane.log_crit]))
     edges = np.concatenate([[ta], breaks[(breaks > ta) & (breaks < tb)], [tb]])
-    # start at level 5: a shell's slowest sub-interval mostly needs it, and a
-    # pass costs more than the level-5 points a level-4 finish would save
-    res = tanhsinh(lambda tt: -_rhs_array(p, q, tt, plane.eval_state(tt))[1],
-                   edges[:-1], edges[1:], atol=1e-15, rtol=1e-12, minlevel=5)
-    if not np.all(res.success):
-        raise QuadratureError("flux quadrature did not converge",
-                              float(np.max(res.error[~res.success])))
-    integral = float(np.sum(res.integral))
+    parts, err, done = _tanh_sinh(lambda tt: -_rhs_array(p, q, tt, plane.eval_state(tt))[1],
+                                  edges[:-1], edges[1:])
+    if not np.all(done):
+        raise QuadratureError("flux quadrature did not converge", float(np.max(err[~done])))
+    integral = float(np.sum(parts))
     wt_a, wt_b = plane.eval_ut(np.array([ta, tb])).tolist()
     scale = max(abs(wt_a), abs(wt_b), 1e-300)
     return abs(wt_a - wt_b - integral) / scale

@@ -501,6 +501,18 @@ def test_bubble_underflow_exit_code(capsys, argv):
     assert out == "" and err.startswith("nodal: numerical failure: ") and err.count("\n") == 1
 
 
+def test_bubble_quadrature_failure_prints_one_line():
+    # quad's IntegrationWarning stays off stderr in a fresh process, where
+    # the default warning filters would print it
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "nodal.cli", "bubble", "--i", "10000"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("nodal: numerical failure: bubble quadrature did not converge")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 def test_sweep(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

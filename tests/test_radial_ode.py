@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import tanhsinh
 
 from nodal import bubbles as bb
 from nodal import cli
@@ -371,6 +372,18 @@ def test_eval_state_any_shape():
     assert np.array_equal(state.reshape(4, -1), w.eval_state(grid.ravel()))
 
 
+def test_eval_state_rejects_nan():
+    w = ro.solve_whole_plane(120.0, 1.0, 3)
+    with pytest.raises(ValueError, match="eval_state: log-radius is NaN"):
+        w.eval_state(math.nan)
+    with pytest.raises(ValueError, match="eval_state: log-radius is NaN"):
+        w.eval_state(np.array([w.t_start, math.nan, w.t_end]))
+    # t = -inf is r = 0, where the series gives u = 1 and u_t = 0
+    assert w.eval_state(-math.inf).tolist() == [1.0, 0.0, 0.0, 0.0]
+    state = w.eval_state(np.array([-math.inf, w.t_end]))
+    assert state[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0] and np.all(np.isfinite(state))
+
+
 def test_eval_u_at_origin_is_series_limit():
     w = ro.solve_whole_plane(120.0, 1.0, 3)
     for d in (ro.dirichlet_solution(w, 3), ro.neumann_solution(w, 3)):
@@ -387,10 +400,91 @@ def test_flux_quadrature_failure_raises(monkeypatch):
     d = ro.dirichlet_solution(w, 4)
     s_last = float(np.exp(d.log_crit[-1]))
     assert ro.flux_identity_residual(d, s_last, 1.0) <= 1e-10
-    real = ro.tanhsinh
-    monkeypatch.setattr(ro, "tanhsinh", lambda *a, **k: real(*a, **{**k, "maxlevel": 4}))
+    # a relative ripple of 1e-6 on a 1e7-per-unit scale keeps the level sums
+    # apart, so every pass up to the top level has an open interval
+    real, passes = ro._rhs_array, []
+
+    def rippled(p, q, t, y):
+        passes.append(t.size)
+        out = real(p, q, t, y)
+        out[1] *= 1.0 + 1e-6 * np.sin(1e7 * t)
+        return out
+
+    monkeypatch.setattr(ro, "_rhs_array", rippled)
     with pytest.raises(bb.QuadratureError, match="flux quadrature did not converge"):
         ro.flux_identity_residual(d, s_last, 1.0)
+    assert len(passes) == 1 + ro._TS_TOP - ro._TS_FIRST
+
+
+def _flux_pieces(d, s, t):
+    """The integrand and sub-intervals that flux_identity_residual integrates."""
+    plane = d.plane
+    ta, tb = d.log_scale + math.log(s), d.log_scale + math.log(t)
+    breaks = np.sort(np.concatenate([plane.log_zeros, plane.log_crit]))
+    edges = np.concatenate([[ta], breaks[(breaks > ta) & (breaks < tb)], [tb]])
+    q = d.alpha + 2.0
+    return (lambda x: -ro._rhs_array(d.p, q, x, plane.eval_state(x))[1]), edges[:-1], edges[1:]
+
+
+def test_tanh_sinh_matches_scipy_on_flux_shells():
+    # the criterion-7 shells; SciPy's tanhsinh with the gauge's tolerances is the oracle
+    checked = 0
+    for p in (50.0, 100.0, 200.0):
+        w = ro.solve_whole_plane(p, 0.0, 3, tol=1e-10)
+        for m in (1, 2, 3):
+            d = ro.dirichlet_solution(w, m)
+            pairs = [(math.exp(d.log_crit[-1]) if m >= 2 else 0.05, 1.0)]
+            if m >= 2:
+                pairs.append((math.exp(0.75 * d.log_zeros[0]), math.exp(0.25 * d.log_zeros[0])))
+            for s, t in pairs:
+                f, a, b = _flux_pieces(d, s, t)
+                ours, err, done = ro._tanh_sinh(f, a, b)
+                ref = tanhsinh(f, a, b, atol=1e-15, rtol=1e-12, minlevel=5)
+                assert done.all() and ref.success.all()
+                assert np.all(err <= np.maximum(ro._TS_ATOL, ro._TS_RTOL * np.abs(ours)))
+                assert np.all(np.abs(ours - ref.integral) <= 1e-11 * np.abs(ref.integral))
+                checked += a.size
+    assert checked >= 15
+
+
+@pytest.mark.parametrize("f, a, b, exact", [
+    (lambda x: x**-0.5, 0.0, 1.0, 2.0),           # integrable singularity at 0
+    (np.log, 0.0, 1.0, -1.0),                     # logarithmic singularity at 0
+    (np.exp, 0.0, 1.0, math.e - 1.0),
+    (lambda x: np.log1p(-x), 0.0, 1.0, -1.0),     # -inf where nodes round onto 1
+    (lambda x: 1.0 / (x * x + 0.01), -1.0, 1.0, 20.0 * math.atan(10.0)),  # needs level 7
+])
+def test_tanh_sinh_closed_forms(f, a, b, exact):
+    total, err, done = ro._tanh_sinh(f, a, b)
+    assert done.tolist() == [True]
+    assert abs(total[0] - exact) <= 1e-12 * abs(exact)
+    assert err[0] <= 1e-12 * abs(exact)
+
+
+def test_tanh_sinh_intervals_close_independently():
+    # the flat intervals close in the first pass, the ones across the peak
+    # of 1 / (x^2 + 0.01) levels later; each keeps its own sum
+    a = np.array([3.0, -1.0, -0.5, 5.0])
+    b = np.array([4.0, 1.0, 0.25, 5.0])
+    total, err, done = ro._tanh_sinh(lambda x: 1.0 / (x * x + 0.01), a, b)
+    exact = 10.0 * (np.arctan(10.0 * b) - np.arctan(10.0 * a))
+    assert done.all() and total[3] == 0.0
+    assert np.all(np.abs(total - exact) <= 1e-12 * np.abs(exact))
+
+
+def test_tanh_sinh_levels_nest():
+    # levels 0..k together are the full grid of step h0 / 2^k, built once
+    for k in range(6):
+        jh = (ro._TS_H0 / 2**k) * np.arange(8 * 2**k + 1)
+        u = 0.5 * math.pi * np.sinh(jh)
+        xc, w = ro._ts_upto(k)
+        order = np.argsort(-xc)
+        assert np.array_equal(xc[order], 1.0 / (np.exp(u) * np.cosh(u)))
+        full = 0.5 * math.pi * np.cosh(jh) / np.cosh(u) ** 2
+        full[0] *= 0.5
+        assert np.allclose(w[order], full, rtol=1e-15, atol=0.0)
+    assert ro._ts_level(3) is ro._ts_level(3)
+    assert not any(arr.flags.writeable for arr in (*ro._ts_level(3), *ro._ts_upto(3)))
 
 
 @pytest.mark.parametrize("t, u", [
