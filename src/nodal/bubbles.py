@@ -4,22 +4,23 @@ Each nodal region of the radial solution concentrates, after rescaling,
 onto an explicit radial profile Z_{i,alpha} solving a (singular)
 Liouville-type equation.  This module evaluates the profiles in log
 space (the exponents grow linearly in the region index, so direct powers
-would overflow), and verifies their defining mass and split integrals by
-adaptive quadrature.
+would overflow), and verifies their defining mass and split integrals
+with the package's one quadrature rule, the vectorized tanh-sinh rule
+``_tanh_sinh`` defined here, in the variable y = (alpha+2)/2 ln s, where
+the integrand is a bump of width 1/theta_i for every alpha.  The shell
+flux gauge of :mod:`nodal.radial_ode` uses the same rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from .constants import _check_alpha, _check_count, _theta_head
+from .constants import _check_alpha, _check_count, _freeze, _theta_head
 from .constants import theta_sequence  # noqa: F401  perfbench/layertrace.py wraps this binding
 
 __all__ = [
@@ -34,10 +35,9 @@ __all__ = [
     "bubble_pde_residual",
 ]
 
-#: relative tolerance of each half of the mass and split quadratures
-_QUAD_EPSREL = 1e-11
-
-_LN2 = math.log(2.0)
+#: e-folds of the bubble integrand kept past the split or the peak on each
+#: side; each cut leaves e^-40 (about 4e-18) of the integral
+_TAIL_EFOLDS = 40.0
 
 
 class QuadratureError(RuntimeError):
@@ -46,6 +46,91 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, estimate: float):
         super().__init__(f"{message} (achieved error estimate {estimate:.3e})")
         self.estimate = estimate
+
+
+#: tanh-sinh levels: the first pass takes every node up to _TS_FIRST, and an
+#: interval still open after _TS_TOP has not converged.  A gauge shell's
+#: slowest sub-interval mostly closes at level 5, so a level-4 start costs a
+#: second pass, and a level-6 start twice the points
+_TS_FIRST = 5
+_TS_TOP = 10
+
+#: an interval closes when its last two level sums differ by less than
+#: this, absolute or relative to the sum
+_TS_ATOL = 1e-15
+_TS_RTOL = 1e-12
+
+#: level-0 step: eight steps reach the abscissa whose distance to the end
+#: point is four times the smallest normal double, where the sum is cut off
+_TS_H0 = math.asinh(math.log(0.5 / np.finfo(float).tiny - 1.0) / math.pi) / 8.0
+
+
+@functools.cache
+def _ts_level(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distances 1 - x_j to the end point and weights of tanh-sinh level k
+    (step h0 / 2^k): every j at level 0, the odd j above, so that a level
+    holds only the nodes the coarser levels lack.  Cached, so read-only."""
+    n = 8 * 2**k
+    jh = (_TS_H0 / 2**k) * (np.arange(n + 1) if k == 0 else np.arange(1, n + 1, 2))
+    u = 0.5 * math.pi * np.sinh(jh)
+    cosh_u = np.cosh(u)
+    w = 0.5 * math.pi * np.cosh(jh) / (cosh_u * cosh_u)
+    if k == 0:
+        w[0] *= 0.5  # x_0 = 0 is reached from both end points
+    return _freeze(1.0 / (np.exp(u) * cosh_u)), _freeze(w)
+
+
+@functools.cache
+def _ts_upto(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels 0..k of ``_ts_level``, concatenated; read-only."""
+    xc, w = zip(*map(_ts_level, range(k + 1)))
+    return _freeze(np.concatenate(xc)), _freeze(np.concatenate(w))
+
+
+def _ts_terms(f, a: np.ndarray, b: np.ndarray, xc: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w_j (f(b - h xc_j) + f(a + h xc_j))`` with h = (b - a) / 2, one row
+    per interval, from one call of f on a flat array; a node that rounds
+    onto an end point counts as zero."""
+    a, b = a[:, None], b[:, None]
+    off = 0.5 * (b - a) * xc
+    x = np.hstack([b - off, a + off])
+    inside = (x > a) & (x < b)
+    fx = np.zeros(x.shape)
+    fx[inside] = f(x[inside])
+    return (fx[:, :xc.size] + fx[:, xc.size:]) * w
+
+
+def _tanh_sinh(f, a, b):
+    """Tanh-sinh quadrature (Takahasi & Mori, Publ. RIMS 9, 1974) of f
+    over every interval [a_i, b_i].
+
+    f maps a flat array of abscissae to values.  The first pass sums every
+    node up to level ``_TS_FIRST``; each further level halves the step and
+    adds only its own nodes, for the intervals still open.  An interval
+    closes when the difference of its last two level sums (Bailey,
+    Jeyabalan & Li, Experiment. Math. 14, 2005) is below ``_TS_ATOL`` or
+    ``_TS_RTOL`` times the sum.  Returns the sums, those differences, and
+    which intervals closed by level ``_TS_TOP``.
+    """
+    a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    half = 0.5 * (b - a)
+    terms = _ts_terms(f, a, b, *_ts_upto(_TS_FIRST))
+    h = _TS_H0 / 2**_TS_FIRST
+    total = h * half * terms.sum(axis=1)
+    coarse = 2.0 * h * half * terms[:, :_ts_upto(_TS_FIRST - 1)[1].size].sum(axis=1)
+    err = np.abs(total - coarse)
+    done = (err < _TS_ATOL) | (err < _TS_RTOL * np.abs(total))
+    for k in range(_TS_FIRST + 1, _TS_TOP + 1):
+        open_ = np.flatnonzero(~done)
+        if open_.size == 0:
+            break
+        h *= 0.5
+        new = 0.5 * total[open_] + h * half[open_] * _ts_terms(
+            f, a[open_], b[open_], *_ts_level(k)).sum(axis=1)
+        err[open_] = np.abs(new - total[open_])
+        total[open_] = new
+        done[open_] = (err[open_] < _TS_ATOL) | (err[open_] < _TS_RTOL * np.abs(new))
+    return total, err, done
 
 
 @dataclass(frozen=True)
@@ -145,61 +230,33 @@ def profile_samples(spec: BubbleSpec, r_grid: np.ndarray) -> np.ndarray:
     return np.column_stack([r, z, np.exp(z)])
 
 
-def _logaddexp(x: float, y: float) -> float:
-    """``np.logaddexp`` on two floats, by NumPy's own formula, bit for bit."""
-    if x == y:
-        return x + _LN2
-    d = x - y
-    if d > 0.0:
-        return x + math.log1p(math.exp(-d))
-    return y + math.log1p(math.exp(d))
+def _integrate_weighted(spec: BubbleSpec) -> tuple[float, float]:
+    """``int exp(Z(s)) s^(alpha+1) ds`` below and above the split radius.
 
-
-def _weighted_integrand(spec: BubbleSpec, power: float) -> Callable[[float], float]:
-    """``s -> exp(Z(s)) * s**power`` on plain floats, 0 where it underflows.
-
-    The profile coefficients are computed once here, not at each node.
+    In y = (alpha+2)/2 ln s the integrand is 2/(alpha+2) exp(Z + 2y): a
+    bump of height theta^2/2 at y = ln beta that decays like
+    exp(-theta |y - ln beta|) on both sides, for every alpha.  The split
+    is sigma_i for i >= 1 and beta_0^(2/(alpha+2)) for i = 0, taken as logs
+    in y (the radius itself rounds to 1 for huge alpha).  Each side is
+    cut ``_TAIL_EFOLDS``/theta beyond the split or the peak, and the sums
+    stay O(theta): the factor 2/(alpha+2) is applied after them.
     """
-    c0, c1, a, c2 = _profile_coefficients(spec)
-
-    def f(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        ln_s = math.log(s)
-        ex = c0 + c1 * ln_s - 2.0 * _logaddexp(a, c2 * ln_s) + power * ln_s
-        return math.exp(ex) if ex > -700.0 else 0.0
-
-    return f
-
-
-def _integrate_weighted(spec: BubbleSpec, power: float, split: float) -> tuple[float, float]:
-    """``int_0^inf exp(Z(s)) * s**power ds`` split at ``split``.
-
-    The unbounded tail is mapped to (0, 1] by s = split/u, which avoids
-    an arbitrary cutoff; the integrand decays like a negative power of s
-    with exponent > 1 there, so the transformed integrand is bounded.
-    """
-    f = _weighted_integrand(spec, power)
-
-    def tail(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        s = split / u
-        return f(s) * split / (u * u)
-
-    # a failure is judged below from the error estimate, which the raised
-    # QuadratureError carries; quad's own warning would only add stderr lines
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        inner, err_in = quad(f, 0.0, split, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
-        outer, err_out = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
+    th, q = spec.theta_i, spec.alpha + 2.0
+    y_split = spec.log_beta if spec.i == 0 else 0.5 * math.log((th * th - 4.0) / 2.0)
+    lo = min(spec.log_beta, y_split) - _TAIL_EFOLDS / th
+    hi = max(spec.log_beta, y_split) + _TAIL_EFOLDS / th
+    # (alpha+2)*theta may overflow to inf, and inf - inf is NaN: judged below
+    with np.errstate(invalid="ignore"):
+        parts, err, done = _tanh_sinh(
+            lambda y: np.exp(_profile_from_logr(spec, 2.0 * y / q) + 2.0 * y),
+            [lo, y_split], [y_split, hi])
+    inner, outer = parts.tolist()
     total = inner + outer
-    err = err_in + err_out
-    if not (math.isfinite(total) and total > 0.0) or err / total > 1e-9:
+    if not (done.all() and math.isfinite(total) and total > 0.0):
         # the integrand is positive, so a zero total means every node underflowed
         why = "underflowed" if total == 0.0 else "did not converge"
-        raise QuadratureError(f"bubble quadrature {why}", err)
-    return inner, outer
+        raise QuadratureError(f"bubble quadrature {why}", float(np.max(err)))
+    return 2.0 / q * inner, 2.0 / q * outer
 
 
 def bubble_mass(spec: BubbleSpec) -> float:
@@ -208,7 +265,7 @@ def bubble_mass(spec: BubbleSpec) -> float:
     Equals ``8*pi*theta_i/(alpha+2)`` analytically; the quadrature value is
     returned so callers can check the residual.
     """
-    inner, outer = _integrate_weighted(spec, 1.0 + spec.alpha, spec.concentration_radius)
+    inner, outer = _integrate_weighted(spec)
     return 2.0 * math.pi * (inner + outer)
 
 
@@ -225,7 +282,7 @@ def bubble_split_integrals(spec: BubbleSpec) -> SplitIntegrals:
     if spec.alpha != 0.0:
         raise ValueError("bubble_split_integrals: defined for alpha = 0 only")
     _check_count("bubble_split_integrals", "i", spec.i, 1)
-    inner, outer = _integrate_weighted(spec, 1.0, spec.sigma_i_alpha)
+    inner, outer = _integrate_weighted(spec)
     return SplitIntegrals(inner=inner, outer=outer)
 
 

@@ -24,8 +24,8 @@ rebuilt after the fact from the step's endpoints and re-evaluated stages
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  The same rebuild
 over every step gives the dense output: built on first use, never
 pickled, evaluated on one vectorized path, on which the shell flux
-integral is an in-repo tanh-sinh quadrature, one dense evaluation per
-level from level 5 on.
+integral is the package's tanh-sinh rule (``bubbles._tanh_sinh``), one
+dense evaluation per level from level 5 on.
 
 Every solve goes through :func:`prefetch_solutions`, which returns its
 solutions and is the one place that writes the memo;
@@ -38,7 +38,6 @@ worker count or when the pool breaks, and shut down at interpreter exit
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -54,7 +53,7 @@ import numpy as np
 from scipy.integrate import DOP853, ode
 from scipy.optimize import brentq
 
-from .bubbles import QuadratureError
+from .bubbles import QuadratureError, _tanh_sinh
 from .constants import _check_alpha, _check_count, _check_p, m0_product_formula
 
 __all__ = [
@@ -695,97 +694,6 @@ def pohozaev_residual(sol: RadialSolution) -> float:
     pw1 = sol.p * abs(wt)
     rhs = (1.0 + 1.0 / sol.p) * pw1 * pw1 / (2.0 * (2.0 + sol.alpha))
     return abs(sol.p * ep - rhs) / (sol.p * ep)
-
-
-#: tanh-sinh levels: the first pass takes every node up to _TS_FIRST, and an
-#: interval still open after _TS_TOP has not converged.  A gauge shell's
-#: slowest sub-interval mostly closes at level 5, so a level-4 start costs a
-#: second pass, and a level-6 start twice the points
-_TS_FIRST = 5
-_TS_TOP = 10
-
-#: an interval closes when its last two level sums differ by less than
-#: this, absolute or relative to the sum
-_TS_ATOL = 1e-15
-_TS_RTOL = 1e-12
-
-#: level-0 step: eight steps reach the abscissa whose distance to the end
-#: point is four times the smallest normal double, where the sum is cut off
-_TS_H0 = math.asinh(math.log(0.5 / np.finfo(float).tiny - 1.0) / math.pi) / 8.0
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
-@functools.cache
-def _ts_level(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distances 1 - x_j to the end point and weights of tanh-sinh level k
-    (step h0 / 2^k): every j at level 0, the odd j above, so that a level
-    holds only the nodes the coarser levels lack.  Cached, so read-only."""
-    n = 8 * 2**k
-    jh = (_TS_H0 / 2**k) * (np.arange(n + 1) if k == 0 else np.arange(1, n + 1, 2))
-    u = 0.5 * math.pi * np.sinh(jh)
-    cosh_u = np.cosh(u)
-    w = 0.5 * math.pi * np.cosh(jh) / (cosh_u * cosh_u)
-    if k == 0:
-        w[0] *= 0.5  # x_0 = 0 is reached from both end points
-    return _frozen(1.0 / (np.exp(u) * cosh_u), w)
-
-
-@functools.cache
-def _ts_upto(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels 0..k of ``_ts_level``, concatenated; read-only."""
-    xc, w = zip(*map(_ts_level, range(k + 1)))
-    return _frozen(np.concatenate(xc), np.concatenate(w))
-
-
-def _ts_terms(f, a: np.ndarray, b: np.ndarray, xc: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w_j (f(b - h xc_j) + f(a + h xc_j))`` with h = (b - a) / 2, one row
-    per interval, from one call of f on a flat array; a node that rounds
-    onto an end point counts as zero."""
-    a, b = a[:, None], b[:, None]
-    off = 0.5 * (b - a) * xc
-    x = np.hstack([b - off, a + off])
-    inside = (x > a) & (x < b)
-    fx = np.zeros(x.shape)
-    fx[inside] = f(x[inside])
-    return (fx[:, :xc.size] + fx[:, xc.size:]) * w
-
-
-def _tanh_sinh(f, a, b):
-    """Tanh-sinh quadrature (Takahasi & Mori, Publ. RIMS 9, 1974) of f
-    over every interval [a_i, b_i].
-
-    f maps a flat array of abscissae to values.  The first pass sums every
-    node up to level ``_TS_FIRST``; each further level halves the step and
-    adds only its own nodes, for the intervals still open.  An interval
-    closes when the difference of its last two level sums (Bailey,
-    Jeyabalan & Li, Experiment. Math. 14, 2005) is below ``_TS_ATOL`` or
-    ``_TS_RTOL`` times the sum.  Returns the sums, those differences, and
-    which intervals closed by level ``_TS_TOP``.
-    """
-    a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    half = 0.5 * (b - a)
-    terms = _ts_terms(f, a, b, *_ts_upto(_TS_FIRST))
-    h = _TS_H0 / 2**_TS_FIRST
-    total = h * half * terms.sum(axis=1)
-    coarse = 2.0 * h * half * terms[:, :_ts_upto(_TS_FIRST - 1)[1].size].sum(axis=1)
-    err = np.abs(total - coarse)
-    done = (err < _TS_ATOL) | (err < _TS_RTOL * np.abs(total))
-    for k in range(_TS_FIRST + 1, _TS_TOP + 1):
-        open_ = np.flatnonzero(~done)
-        if open_.size == 0:
-            break
-        h *= 0.5
-        new = 0.5 * total[open_] + h * half[open_] * _ts_terms(
-            f, a[open_], b[open_], *_ts_level(k)).sum(axis=1)
-        err[open_] = np.abs(new - total[open_])
-        total[open_] = new
-        done[open_] = (err[open_] < _TS_ATOL) | (err[open_] < _TS_RTOL * np.abs(new))
-    return total, err, done
 
 
 def flux_identity_residual(sol: RadialSolution, s: float, t: float) -> float:

@@ -494,7 +494,7 @@ def test_bubble_nonpositive_n_rejected(capsys, n):
 
 
 @pytest.mark.parametrize("argv", [["bubble", "--i", "100000", "--n", "3"],
-                                  ["bubble", "--i", "10", "--alpha", "1e300"]])
+                                  ["bubble", "--i", "3", "--alpha", "1e307"]])
 def test_bubble_underflow_exit_code(capsys, argv):
     assert run(argv) == 2
     out, err = _capture(capsys)
@@ -502,8 +502,8 @@ def test_bubble_underflow_exit_code(capsys, argv):
 
 
 def test_bubble_quadrature_failure_prints_one_line():
-    # quad's IntegrationWarning stays off stderr in a fresh process, where
-    # the default warning filters would print it
+    # a fresh process runs the default warning filters, under which any
+    # warning of the failed quadrature would add a line to stderr
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-m", "nodal.cli", "bubble", "--i", "10000"],

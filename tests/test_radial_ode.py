@@ -413,7 +413,7 @@ def test_flux_quadrature_failure_raises(monkeypatch):
     monkeypatch.setattr(ro, "_rhs_array", rippled)
     with pytest.raises(bb.QuadratureError, match="flux quadrature did not converge"):
         ro.flux_identity_residual(d, s_last, 1.0)
-    assert len(passes) == 1 + ro._TS_TOP - ro._TS_FIRST
+    assert len(passes) == 1 + bb._TS_TOP - bb._TS_FIRST
 
 
 def _flux_pieces(d, s, t):
@@ -438,10 +438,10 @@ def test_tanh_sinh_matches_scipy_on_flux_shells():
                 pairs.append((math.exp(0.75 * d.log_zeros[0]), math.exp(0.25 * d.log_zeros[0])))
             for s, t in pairs:
                 f, a, b = _flux_pieces(d, s, t)
-                ours, err, done = ro._tanh_sinh(f, a, b)
+                ours, err, done = bb._tanh_sinh(f, a, b)
                 ref = tanhsinh(f, a, b, atol=1e-15, rtol=1e-12, minlevel=5)
                 assert done.all() and ref.success.all()
-                assert np.all(err <= np.maximum(ro._TS_ATOL, ro._TS_RTOL * np.abs(ours)))
+                assert np.all(err <= np.maximum(bb._TS_ATOL, bb._TS_RTOL * np.abs(ours)))
                 assert np.all(np.abs(ours - ref.integral) <= 1e-11 * np.abs(ref.integral))
                 checked += a.size
     assert checked >= 15
@@ -455,7 +455,7 @@ def test_tanh_sinh_matches_scipy_on_flux_shells():
     (lambda x: 1.0 / (x * x + 0.01), -1.0, 1.0, 20.0 * math.atan(10.0)),  # needs level 7
 ])
 def test_tanh_sinh_closed_forms(f, a, b, exact):
-    total, err, done = ro._tanh_sinh(f, a, b)
+    total, err, done = bb._tanh_sinh(f, a, b)
     assert done.tolist() == [True]
     assert abs(total[0] - exact) <= 1e-12 * abs(exact)
     assert err[0] <= 1e-12 * abs(exact)
@@ -466,7 +466,7 @@ def test_tanh_sinh_intervals_close_independently():
     # of 1 / (x^2 + 0.01) levels later; each keeps its own sum
     a = np.array([3.0, -1.0, -0.5, 5.0])
     b = np.array([4.0, 1.0, 0.25, 5.0])
-    total, err, done = ro._tanh_sinh(lambda x: 1.0 / (x * x + 0.01), a, b)
+    total, err, done = bb._tanh_sinh(lambda x: 1.0 / (x * x + 0.01), a, b)
     exact = 10.0 * (np.arctan(10.0 * b) - np.arctan(10.0 * a))
     assert done.all() and total[3] == 0.0
     assert np.all(np.abs(total - exact) <= 1e-12 * np.abs(exact))
@@ -475,16 +475,16 @@ def test_tanh_sinh_intervals_close_independently():
 def test_tanh_sinh_levels_nest():
     # levels 0..k together are the full grid of step h0 / 2^k, built once
     for k in range(6):
-        jh = (ro._TS_H0 / 2**k) * np.arange(8 * 2**k + 1)
+        jh = (bb._TS_H0 / 2**k) * np.arange(8 * 2**k + 1)
         u = 0.5 * math.pi * np.sinh(jh)
-        xc, w = ro._ts_upto(k)
+        xc, w = bb._ts_upto(k)
         order = np.argsort(-xc)
         assert np.array_equal(xc[order], 1.0 / (np.exp(u) * np.cosh(u)))
         full = 0.5 * math.pi * np.cosh(jh) / np.cosh(u) ** 2
         full[0] *= 0.5
         assert np.allclose(w[order], full, rtol=1e-15, atol=0.0)
-    assert ro._ts_level(3) is ro._ts_level(3)
-    assert not any(arr.flags.writeable for arr in (*ro._ts_level(3), *ro._ts_upto(3)))
+    assert bb._ts_level(3) is bb._ts_level(3)
+    assert not any(arr.flags.writeable for arr in (*bb._ts_level(3), *bb._ts_upto(3)))
 
 
 @pytest.mark.parametrize("t, u", [

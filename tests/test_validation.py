@@ -1,5 +1,5 @@
 """One validation path: every count goes through ``_check_count`` and every
-exponent p through ``_check_p``."""
+exponent p through ``_check_p``; and one quadrature rule, ``_tanh_sinh``."""
 
 import ast
 import math
@@ -144,3 +144,29 @@ def _hand_written_checks() -> list[tuple[str, str, int, str]]:
 
 def test_counts_and_exponents_have_one_rule_each():
     assert _hand_written_checks() == []
+
+
+def _scipy_quadratures() -> list[tuple[str, int, str]]:
+    """``(file, line, module)`` of each import in the package that brings in a
+    SciPy quadrature routine, or any ``scipy`` module into ``bubbles.py``,
+    whose ``_tanh_sinh`` is the package's one quadrature rule."""
+    found = []
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if modules[0] == "scipy.integrate" and any(
+                        alias.name in {"quad", "quad_vec", "tanhsinh"} for alias in node.names):
+                    found.append((path.name, node.lineno, modules[0]))
+            else:
+                continue
+            if path.name == "bubbles.py":
+                found += [(path.name, node.lineno, m) for m in modules
+                          if m == "scipy" or m.startswith("scipy.")]
+    return found
+
+
+def test_one_quadrature_rule():
+    assert _scipy_quadratures() == []
