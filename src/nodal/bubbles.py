@@ -169,10 +169,14 @@ class BubbleSpec:
 
 
 def bubble_spec(i: int, alpha: float = 0.0) -> BubbleSpec:
-    """Construct the :class:`BubbleSpec` for region index ``i``."""
+    """Construct the :class:`BubbleSpec` for region index ``i``; ``alpha``
+    must keep ``(alpha+2)*theta_i``, and so every profile coefficient, finite."""
     _check_count("bubble_spec", "i", i, 0)
     _check_alpha("bubble_spec", alpha)
     th = _theta_head(i + 1)[-1]
+    if not math.isfinite((float(alpha) + 2.0) * th):
+        raise ValueError(f"bubble_spec: (alpha+2)*theta_i overflows a double at i={i}, "
+                         f"alpha={alpha!r}")
     if i == 0:
         beta = 2.0 * math.sqrt(2.0)
         sigma = 0.0
@@ -214,8 +218,8 @@ def bubble_profile(spec: BubbleSpec, r):
     singularity.
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise ValueError("bubble_profile: r must be >= 0")
+    if not np.all((r_arr >= 0.0) & (r_arr < math.inf)):
+        raise ValueError("bubble_profile: r must be >= 0 and finite")
     # r = 0 is log r = -inf, which may give nan (0 * inf for i = 0); masked below
     with np.errstate(divide="ignore", invalid="ignore"):
         z = _profile_from_logr(spec, np.log(r_arr))
@@ -245,17 +249,13 @@ def _integrate_weighted(spec: BubbleSpec) -> tuple[float, float]:
     y_split = spec.log_beta if spec.i == 0 else 0.5 * math.log((th * th - 4.0) / 2.0)
     lo = min(spec.log_beta, y_split) - _TAIL_EFOLDS / th
     hi = max(spec.log_beta, y_split) + _TAIL_EFOLDS / th
-    # (alpha+2)*theta may overflow to inf, and inf - inf is NaN: judged below
-    with np.errstate(invalid="ignore"):
-        parts, err, done = _tanh_sinh(
-            lambda y: np.exp(_profile_from_logr(spec, 2.0 * y / q) + 2.0 * y),
-            [lo, y_split], [y_split, hi])
+    parts, err, done = _tanh_sinh(
+        lambda y: np.exp(_profile_from_logr(spec, 2.0 * y / q) + 2.0 * y),
+        [lo, y_split], [y_split, hi])
     inner, outer = parts.tolist()
     total = inner + outer
     if not (done.all() and math.isfinite(total) and total > 0.0):
-        # the integrand is positive, so a zero total means every node underflowed
-        why = "underflowed" if total == 0.0 else "did not converge"
-        raise QuadratureError(f"bubble quadrature {why}", float(np.max(err)))
+        raise QuadratureError("bubble quadrature did not converge", float(np.max(err)))
     return 2.0 / q * inner, 2.0 / q * outer
 
 
@@ -295,8 +295,8 @@ def bubble_pde_residual(spec: BubbleSpec, r_grid: np.ndarray, h: float = 1e-3) -
     quarters it.
     """
     r = np.asarray(r_grid, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("bubble_pde_residual: grid must be bounded away from 0")
+    if not np.all((r > 0.0) & (r < math.inf)):
+        raise ValueError("bubble_pde_residual: grid must be positive and finite")
     q = spec.alpha + 2.0
     hr = h * r
     zm = bubble_profile(spec, r - hr)

@@ -29,7 +29,8 @@ bit.  So each suite (:func:`whole_plane_limits_suite`,
 :func:`m0_bounds_suite`) computes theta once per call, and ``nodal
 bounds`` costs about 2*kmax + 2*mmax scalar Lambert evaluations, not
 O(M^2): theta and its ``a_seq`` oracle up to kmax, and a theta prefix for
-each m suite.  W(1/(4k)) in the theta sandwich is one vectorized call.
+each m suite.  The theta sandwich decides its W(1/(4k)) clauses through
+x*e^x and forms no W.
 :func:`constant_table`, :func:`m0_sequence` and
 :func:`whole_plane_limits_suite` also read theta from a given
 :class:`ThetaTable`, so ``nodal constants --m M`` runs the recursion once,
@@ -54,7 +55,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.special import lambertw
 
 from .specfun import lambert_w0, ln_gamma
 
@@ -545,21 +545,19 @@ def _sandwich(check: str, index, lower, value, upper, also=True) -> BoundsTable:
 def _theta_sandwich(table: ThetaTable, ks: np.ndarray) -> BoundsTable:
     """The ``theta_growth`` report of :func:`theta_bounds_check` for each k in ``ks``.
 
-    W(1/(4k)) is one vectorized :func:`scipy.special.lambertw` call.  It
-    only decides ``holds`` and is never printed; it is within 3.4e-16
-    relative of :func:`lambert_w0` for k <= 1e5, while the tightest
-    comparisons it decides (``mid < upper`` and ``1/(4k+1) < w``) have
-    relative margins of about 1/(32k^2), 3.1e-12 at k = 1e5.
+    W is the inverse of the increasing map x*e^x on [0, inf), so each clause
+    ``x < W(1/(4k))`` is decided as ``x*e^x < 1/(4k)`` and W is never formed:
+    ``theta_k < 2 + 2/W`` is ``W < 2/(theta_k - 2)``, and ``1/(4k+1) < W``
+    is also ``2 + 2/W < 4+8k``.
     """
     theta = table.theta[ks]
     a = table.a_seq[ks]
     quarter = 1.0 / (4.0 * ks)
-    w = lambertw(quarter).real
-    upper = 4.0 + 8.0 * ks
-    mid = 2.0 + 2.0 / w
-    also = ((theta < mid) & (mid < upper)
-            & (1.0 / (4.0 * ks + 1.0) < w) & (w < a) & (a < quarter))
-    return _sandwich("theta_growth", ks, 2.0 + 8.0 * ks, theta, upper, also)
+    b = 2.0 / (theta - 2.0)
+    ell = 1.0 / (4.0 * ks + 1.0)
+    also = ((quarter < b * np.exp(b)) & (ell * np.exp(ell) < quarter)
+            & (quarter < a * np.exp(a)) & (a < quarter))
+    return _sandwich("theta_growth", ks, 2.0 + 8.0 * ks, theta, 4.0 + 8.0 * ks, also)
 
 
 def theta_bounds_check(k: int) -> BoundsReport:

@@ -269,8 +269,8 @@ def bubble_convergence_check(
         lo, hi = radius / (2.0 if i >= 1 else 4.0), 4.0 * radius
     else:
         lo, hi = compact_interval
-    if not 0.0 < lo < hi:
-        raise ValueError("bubble_convergence_check: need 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError("bubble_convergence_check: need 0 < lo < hi < inf")
     grid = np.linspace(lo, hi, _BUBBLE_POINTS)
     prof = rescaled_profile(sol, i, grid)
     z = bubble_profile(spec, grid)

@@ -1,6 +1,7 @@
 """Tests for the limit bubble profiles and their integral identities."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -106,10 +107,17 @@ def test_split_integrals():
 
 @pytest.mark.parametrize("i", [*range(41), 100, 1000])
 def test_mass_and_split_closed_forms_to_roundoff(i):
-    # the mass 8 pi theta/(alpha+2) for alpha from 0 to 1e300, and the
-    # split theta -+ 2, each from the quadrature at its full precision
+    # the mass 8 pi theta/(alpha+2) for alpha from 0 to the largest alpha with
+    # a finite (alpha+2)*theta, and the split theta -+ 2, each from the
+    # quadrature at its full precision
     tol = 5e-11 if i == 1000 else 1e-12
-    for alpha in (0.0, 0.5, 1.0, 2.0, 3.7, 1e6, 1e300):
+    th = bb.bubble_spec(i).theta_i
+    edge = sys.float_info.max / th
+    while not math.isfinite((edge + 2.0) * th):
+        edge = math.nextafter(edge, 0.0)
+    with pytest.raises(ValueError, match="^bubble_spec: "):
+        bb.bubble_spec(i, math.nextafter(edge, math.inf))
+    for alpha in (0.0, 0.5, 1.0, 2.0, 3.7, 1e6, 1e300, edge):
         spec = bb.bubble_spec(i, alpha)
         expected = 8.0 * math.pi * spec.theta_i / (alpha + 2.0)
         assert abs(bb.bubble_mass(spec) - expected) <= tol * expected, alpha
@@ -121,18 +129,20 @@ def test_mass_and_split_closed_forms_to_roundoff(i):
         assert abs(split.outer - (th + 2.0)) <= 1e-12 * (th + 2.0)
 
 
-@pytest.mark.parametrize("call, why", [
-    # (alpha+2)*theta_3 overflows, and the sums are NaN
-    pytest.param(lambda: bb.bubble_mass(bb.bubble_spec(3, 1e307)), "did not converge", id="mass"),
-    # (alpha+2)*theta_2 overflows, and every node of the bump is exp(-inf) = 0
-    pytest.param(lambda: bb.bubble_mass(bb.bubble_spec(2, 1e307)), "underflowed", id="mass-zero"),
+@pytest.mark.parametrize("call", [
     # round-off in the profile's terms of size theta ln theta keeps the level sums apart
-    pytest.param(lambda: bb.bubble_split_integrals(bb.bubble_spec(100000)), "did not converge",
-                 id="split"),
+    pytest.param(lambda: bb.bubble_split_integrals(bb.bubble_spec(100000)), id="split"),
 ])
-def test_underflowed_quadrature_raises(call, why):
-    with pytest.raises(bb.QuadratureError, match=f"bubble quadrature {why}"):
+def test_underflowed_quadrature_raises(call):
+    with pytest.raises(bb.QuadratureError, match="bubble quadrature did not converge"):
         call()
+
+
+@pytest.mark.parametrize("i", [2, 3])
+def test_overflowing_alpha_rejected(i):
+    # (alpha+2)*theta_i is inf, and so would be every profile coefficient
+    with pytest.raises(ValueError, match=f"^bubble_spec: .* at i={i}, alpha=1e\\+307$"):
+        bb.bubble_spec(i, 1e307)
 
 
 def test_split_integrals_domain():
@@ -169,8 +179,9 @@ def test_pde_residual_henon_weight():
 
 def test_pde_residual_grid_validation():
     spec = bb.bubble_spec(1, 0.0)
-    with pytest.raises(ValueError):
-        bb.bubble_pde_residual(spec, np.array([0.0, 1.0]))
+    for grid in ([0.0, 1.0], [0.5, math.nan], [0.5, math.inf]):
+        with pytest.raises(ValueError):
+            bb.bubble_pde_residual(spec, np.array(grid))
 
 
 def test_profile_samples_shape():
@@ -201,8 +212,12 @@ def test_profile_array_call_equals_scalar_calls(i, alpha):
     square = grid[: 16 * 10].reshape(16, 10)
     assert np.array_equal(bb.bubble_profile(spec, square), vals[: 160].reshape(16, 10))
     assert np.array_equal(bb.profile_samples(spec, grid)[:, 1], vals)
-    with pytest.raises(ValueError, match="r must be >= 0"):
-        bb.bubble_profile(spec, np.array([1.0, -1e-300]))
+    for bad in (-1e-300, math.nan, math.inf):
+        for call in (bb.bubble_profile, bb.profile_samples):
+            with pytest.raises(ValueError, match="r must be >= 0"):
+                call(spec, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            bb.bubble_profile(spec, bad)
 
 
 def test_large_index_no_overflow():

@@ -493,12 +493,18 @@ def test_bubble_nonpositive_n_rejected(capsys, n):
     assert out == "" and f"nodal: error: bubble: --n must be >= 1 (got {n})" in err
 
 
-@pytest.mark.parametrize("argv", [["bubble", "--i", "100000", "--n", "3"],
-                                  ["bubble", "--i", "3", "--alpha", "1e307"]])
-def test_bubble_underflow_exit_code(capsys, argv):
-    assert run(argv) == 2
+@pytest.mark.parametrize("argv, code, head", [
+    # the quadrature does not close
+    pytest.param(["bubble", "--i", "100000", "--n", "3"], 2, "nodal: numerical failure: ",
+                 id="argv0"),
+    # (alpha+2)*theta_3 overflows, which bubble_spec rejects
+    pytest.param(["bubble", "--i", "3", "--alpha", "1e307"], 1, "nodal: error: bubble_spec: ",
+                 id="argv1"),
+])
+def test_bubble_underflow_exit_code(capsys, argv, code, head):
+    assert run(argv) == code
     out, err = _capture(capsys)
-    assert out == "" and err.startswith("nodal: numerical failure: ") and err.count("\n") == 1
+    assert out == "" and err.startswith(head) and err.count("\n") == 1
 
 
 def test_bubble_quadrature_failure_prints_one_line():

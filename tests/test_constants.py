@@ -337,6 +337,22 @@ def test_theta_bounds_check_equals_suite_row():
         assert cn.theta_bounds_check(k) == suite[k - 1]
 
 
+def test_theta_sandwich_matches_the_scalar_w_definition():
+    # every k up to 1e5, where the W(1/(4k)) clauses have their least margins;
+    # the suite decides them through x*e^x, the definition through W itself
+    k_max = 100_000
+    tab = cn.theta_sequence(k_max)
+    ks = np.arange(1, k_max + 1)
+    theta, a = tab.theta[1:], tab.a_seq[1:]
+    w = np.array([cn.lambert_w0(1.0 / (4.0 * k)) for k in range(1, k_max + 1)])
+    mid = 2.0 + 2.0 / w
+    upper = 4.0 + 8.0 * ks
+    holds = ((2.0 + 8.0 * ks < theta) & (theta < mid) & (mid < upper) & (theta < upper)
+             & (1.0 / (4.0 * ks + 1.0) < w) & (w < a) & (a < 1.0 / (4.0 * ks)))
+    assert holds.all()
+    assert np.array_equal(cn.theta_bounds_suite(k_max).holds, holds)
+
+
 def test_theta_sandwich_rejects_each_broken_clause():
     k, good = 7, cn.theta_sequence(7)
     w = cn.lambert_w0(1.0 / (4.0 * k))

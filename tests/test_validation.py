@@ -146,10 +146,14 @@ def test_counts_and_exponents_have_one_rule_each():
     assert _hand_written_checks() == []
 
 
+#: the p -> infinity half of the package, which runs without SciPy
+_SCIPY_FREE = {"bubbles.py", "constants.py", "specfun.py"}
+
+
 def _scipy_quadratures() -> list[tuple[str, int, str]]:
     """``(file, line, module)`` of each import in the package that brings in a
-    SciPy quadrature routine, or any ``scipy`` module into ``bubbles.py``,
-    whose ``_tanh_sinh`` is the package's one quadrature rule."""
+    SciPy quadrature routine, or any ``scipy`` module into ``_SCIPY_FREE``;
+    ``bubbles._tanh_sinh`` is the package's one quadrature rule."""
     found = []
     for path in sorted(_SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -162,7 +166,7 @@ def _scipy_quadratures() -> list[tuple[str, int, str]]:
                     found.append((path.name, node.lineno, modules[0]))
             else:
                 continue
-            if path.name == "bubbles.py":
+            if path.name in _SCIPY_FREE:
                 found += [(path.name, node.lineno, m) for m in modules
                           if m == "scipy" or m.startswith("scipy.")]
     return found

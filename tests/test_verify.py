@@ -198,5 +198,6 @@ def test_bubble_convergence_interval_rejected():
     d = dirichlet_solution(solve_whole_plane(150.0, 0.0, 2), 2)
     with pytest.raises(ValueError):
         vf.bubble_convergence_check(d, 1, compact_interval=(1.0, 1e12))
-    with pytest.raises(ValueError):
-        vf.bubble_convergence_check(d, 1, compact_interval=(-1.0, 2.0))
+    for interval in ((-1.0, 2.0), (0.1, math.inf), (math.nan, 2.0)):
+        with pytest.raises(ValueError, match="^bubble_convergence_check: "):
+            vf.bubble_convergence_check(d, 1, compact_interval=interval)
