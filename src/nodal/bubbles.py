@@ -190,23 +190,16 @@ def bubble_spec(i: int, alpha: float = 0.0) -> BubbleSpec:
     return BubbleSpec(i=i, alpha=float(alpha), theta_i=th, beta_i=beta, sigma_i_alpha=sigma)
 
 
-def _profile_coefficients(spec: BubbleSpec) -> tuple[float, float, float, float]:
-    """``(c0, c1, a, c2)`` with Z = c0 + c1*log r - 2*logaddexp(a, c2*log r).
-
-    c0 = log(2*theta^2) + theta*log(beta), c1 = (alpha+2)(theta-2)/2,
-    a = theta*log(beta) and c2 = (alpha+2)*theta/2, so beta**theta is
-    never formed.
-    """
+def _profile_from_logr(spec: BubbleSpec, log_r) -> np.ndarray | float:
+    """Z = c0 + c1*log r - 2*logaddexp(a, c2*log r) from log-radius, on
+    scalars and arrays, with c0 = log(2*theta^2) + a, c1 = (alpha+2)(theta-2)/2,
+    a = theta*log(beta) and c2 = (alpha+2)*theta/2, so beta**theta is never
+    formed."""
     th = spec.theta_i
     q = spec.alpha + 2.0
     a = th * spec.log_beta
-    return math.log(2.0 * th * th) + a, q * (th - 2.0) / 2.0, a, q * th / 2.0
-
-
-def _profile_from_logr(spec: BubbleSpec, log_r) -> np.ndarray | float:
-    """Z evaluated from log-radius; works on scalars and arrays."""
-    c0, c1, a, c2 = _profile_coefficients(spec)
-    return c0 + c1 * log_r - 2.0 * np.logaddexp(a, c2 * log_r)
+    return (math.log(2.0 * th * th) + a + q * (th - 2.0) / 2.0 * log_r
+            - 2.0 * np.logaddexp(a, q * th / 2.0 * log_r))
 
 
 def bubble_profile(spec: BubbleSpec, r):
@@ -220,10 +213,13 @@ def bubble_profile(spec: BubbleSpec, r):
     r_arr = np.asarray(r, dtype=float)
     if not np.all((r_arr >= 0.0) & (r_arr < math.inf)):
         raise ValueError("bubble_profile: r must be >= 0 and finite")
-    # r = 0 is log r = -inf, which may give nan (0 * inf for i = 0); masked below
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # r = 0 is log r = -inf, which may give nan (0 * inf for i = 0); masked below.
+    # Where c2*log r overflows, Z lies below -DBL_MAX; it reads -inf, or nan
+    # from inf - inf, which is set to -inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = _profile_from_logr(spec, np.log(r_arr))
-    z = np.where(r_arr == 0.0, 0.0 if spec.i == 0 else -math.inf, z)
+    z = np.where(r_arr == 0.0, 0.0 if spec.i == 0 else -math.inf,
+                 np.where(np.isnan(z), -math.inf, z))
     return float(z) if r_arr.ndim == 0 else z
 
 

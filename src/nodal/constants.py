@@ -43,7 +43,7 @@ columns, and every sandwich is checked over whole columns by one rule,
 :func:`m0_bounds_check`, :func:`sup_norm_bounds`) read their rows off the
 suites, and :func:`whole_plane_limits` is the last entry of its suite.
 
-Every module validates a count by ``_check_count`` and p by ``_check_p``.
+Every module validates a count by ``_check_count``, p by ``_check_p``, tol by ``_check_tol``.
 """
 
 from __future__ import annotations
@@ -119,6 +119,12 @@ def _check_p(where: str, p: float) -> None:
     """The one exponent rule: p is finite and > 1."""
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError(f"{where}: p must be finite and > 1 (got {p!r})")
+
+
+def _check_tol(where: str, tol: float) -> None:
+    """The one tolerance rule: tol lies in (0, 1)."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"{where}: tol must be in (0, 1) (got {tol!r})")
 
 
 def _check_alpha(where: str, alpha: float) -> None:

@@ -38,7 +38,6 @@ worker count or when the pool breaks, and shut down at interpreter exit
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import os
@@ -54,7 +53,7 @@ from scipy.integrate import DOP853, ode
 from scipy.optimize import brentq
 
 from .bubbles import QuadratureError, _tanh_sinh
-from .constants import _check_alpha, _check_count, _check_p, m0_product_formula
+from .constants import _check_alpha, _check_count, _check_p, _check_tol, m0_product_formula
 
 __all__ = [
     "SolverError",
@@ -479,12 +478,12 @@ def _close_pool() -> None:
         pool.shutdown()
 
 
-def _solve_on_pool(keys: list[tuple], workers: int) -> tuple[list[Future], str | None]:
+def _solve_on_pool(keys: list[tuple], workers: int) -> tuple[list[Future] | None, str]:
     """Solve ``keys`` on the solve pool and wait until every job has ended.
 
-    Returns the jobs' futures in key order and None; or, when the pool
-    could not be had or broke, the futures of the jobs before the first
-    broken one and why the rest must run sequentially.
+    Returns every job's future in key order, or None when the pool could
+    not be had or broke and the whole batch must run in-process; and the
+    words the batch's DEBUG record gives for either.
     """
     global _POOL, _POOL_WORKERS
     pool_errors = (OSError, NotImplementedError, BrokenProcessPool)
@@ -499,14 +498,12 @@ def _solve_on_pool(keys: list[tuple], workers: int) -> tuple[list[Future], str |
             wait(futures)
             failure = next((f.exception() for f in futures if f.exception() is not None), None)
         except pool_errors as exc:
-            futures, failure = [], exc
+            failure = exc
         if isinstance(failure, pool_errors):
             _close_pool()
-            ended = list(itertools.takewhile(lambda f: f.exception() is None, futures))
-            return ended, f"process pool unavailable or broken, {type(failure).__name__}: {failure}"
-    _LOG.debug("prefetch_solutions: %d jobs on the %s pool of %d workers",
-               len(keys), "reused" if reused else "newly forked", workers)
-    return futures, None
+            return None, ("sequentially (process pool unavailable or broken, "
+                          f"{type(failure).__name__}: {failure})")
+    return futures, f"on the {'reused' if reused else 'newly forked'} pool of {workers} workers"
 
 
 def prefetch_solutions(
@@ -529,7 +526,7 @@ def prefetch_solutions(
     replaced when a batch asks for another worker count, dropped when it
     breaks, and shut down at interpreter exit; a worker also exits once
     its parent process has gone.  A batch whose pool cannot be created or
-    breaks is solved sequentially, and the next batch forks a new pool.
+    breaks is solved in-process as a whole; the next batch forks a new pool.
     Each batch with something to solve logs one DEBUG record on the
     ``nodal`` logger: its job count and whether it reused the pool, forked
     a new one, or ran sequentially, and why.  A batch served wholly from
@@ -539,19 +536,18 @@ def prefetch_solutions(
         _check_count("prefetch_solutions", "workers", workers, 1)
     if tol is None:
         tol = default_tolerance()
-    elif not 0.0 < tol < 1.0:
-        raise ValueError(f"tol out of range (0, 1): {tol!r}")
+    _check_tol("prefetch_solutions", tol)
     keys = [_solve_key(p, alpha, m_max, float(tol)) for p, alpha, m_max in params]
     found = {key: _CACHE[key] for key in keys if key in _CACHE}
     misses = sorted(set(keys) - found.keys())
     if misses:
         if workers is None:
             workers = min(len(misses), os.cpu_count() or 1)
-        futures, reason = _solve_on_pool(misses, workers) if workers > 1 else ([], "one worker")
-        solved = (future.result() for future in futures)
-        if reason is not None:
-            _LOG.debug("prefetch_solutions: %d jobs sequentially (%s)", len(misses), reason)
-            solved = itertools.chain(solved, (_solve_impl(*key) for key in misses[len(futures):]))
+        futures, how = (_solve_on_pool(misses, workers) if workers > 1
+                        else (None, "sequentially (one worker)"))
+        _LOG.debug("prefetch_solutions: %d jobs %s", len(misses), how)
+        solved = ((_solve_impl(*key) for key in misses) if futures is None
+                  else (future.result() for future in futures))
         for key, sol in zip(misses, solved):
             if len(_CACHE) >= _CACHE_MAX:
                 _CACHE.pop(next(iter(_CACHE)))

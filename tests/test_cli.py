@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -507,6 +508,33 @@ def test_bubble_underflow_exit_code(capsys, argv, code, head):
     assert out == "" and err.startswith(head) and err.count("\n") == 1
 
 
+def _largest_accepted_alpha(i):
+    th = bubble_spec(i).theta_i
+    alpha = sys.float_info.max / th
+    while not math.isfinite((alpha + 2.0) * th):
+        alpha = math.nextafter(alpha, 0.0)
+    return alpha
+
+
+@pytest.mark.parametrize("grid", [[], ["--rmin", "0", "--rmax", "1e300"],
+                                  ["--rmin", "1e-300", "--rmax", "2e-300"]],
+                         ids=["default", "huge", "tiny"])
+@pytest.mark.parametrize("i", [0, 1, 2, 3, 10, 40])
+def test_bubble_overflowing_profile_prints_minus_inf(capsys, i, grid):
+    # where (alpha+2)*theta_i/2 * ln r overflows, Z is below -DBL_MAX: -inf, with no warning
+    edge = _largest_accepted_alpha(i)
+    for alpha in (edge, 0.999 * edge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["bubble", "--i", str(i), "--alpha", repr(alpha), *grid]) == 0
+        out, err = _capture(capsys)
+        assert [line.split(":")[0] for line in err.splitlines()] == ["# mass"]
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 200
+        assert all(cell not in ("", "nan") for row in rows for cell in row), (alpha, grid)
+        assert all(ez == "0" for _, z, ez in rows if z == "-inf")
+
+
 def test_bubble_quadrature_failure_prints_one_line():
     # a fresh process runs the default warning filters, under which any
     # warning of the failed quadrature would add a line to stderr
@@ -721,6 +749,7 @@ def test_sweep_config_rejects_empty_range(tmp_path, capsys):
     ("m = ,", "no values for 'm'"),
     ("bc = ", "no values for 'bc'"),
     ("tol =", "no values for 'tol'"),
+    ("q = 1", "unknown key 'q'"),
 ])
 def test_sweep_config_bad_value_names_its_line(tmp_path, capsys, line, message):
     key = line.split("=")[0].strip()
@@ -812,6 +841,12 @@ def test_json_float_list_fast_path_matches_chain_oracle():
     assert cli._to_json({"samples": rows}) == ('{\n  "samples": [[0, null, 0], '
                                                '[2.5, -7.7999999999999998, '
                                                '0.00040000000000000002]]\n}\n')
+
+
+@pytest.mark.parametrize("obj", [{1.0}, {"spec": object()}, [0.5, 1j]])
+def test_json_rejects_unsupported_types(obj):
+    with pytest.raises(TypeError, match="^cannot encode <class '(set|object|complex)'>$"):
+        cli._to_json(obj)
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

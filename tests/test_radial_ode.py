@@ -726,6 +726,34 @@ def test_step_limit_raises_solver_error(monkeypatch):
             ro.solve_whole_plane(77.5, 0.0, 2)
 
 
+def test_solver_refuses_a_gap_without_one_critical_point(monkeypatch):
+    crosses = ro._crosses
+    scans = []
+
+    def no_critical_points(a, b):
+        # _solve_impl's second array scan is the one for critical points
+        out = crosses(a, b)
+        if np.ndim(out):
+            scans.append(out)
+            if len(scans) == 2:
+                return np.zeros_like(out)
+        return out
+
+    monkeypatch.setattr(ro, "_crosses", no_critical_points)
+    with pytest.raises(ro.SolverError, match=r"^expected exactly one critical point between "
+                                             r"zeros 1 and 2, found 0 \(p=3.0, alpha=0.0\)$"):
+        ro._solve_impl(3.0, 0.0, 2, 1e-10)
+
+
+def test_solver_refuses_critical_values_that_do_not_decay(monkeypatch):
+    series = ro._series_state
+    # started at u(0) = 5, the first critical value is about -2.1
+    monkeypatch.setattr(ro, "_series_state", lambda p, alpha, t: 5.0 * series(p, alpha, t))
+    with pytest.raises(ro.SolverError, match=r"^critical values fail to decay strictly from "
+                                             r"u\(0\)=1 \(p=3.0, alpha=0.0\): \[2\.1"):
+        ro._solve_impl(3.0, 0.0, 2, 1e-10)
+
+
 @pytest.fixture
 def closed_pool():
     """No solve pool across the test: a pool forked earlier would not see the
@@ -832,6 +860,61 @@ def test_prefetch_recovers_from_killed_worker(closed_pool, caplog):
     assert _batch_records(caplog)[1:] == [
         "prefetch_solutions: 2 jobs on the newly forked pool of 2 workers"]
     assert ro._POOL is not pool and len(ro._POOL._processes) == 2
+
+
+_REAL_SOLVE = ro._solve_impl
+
+
+def _mark_result(marks, future) -> None:
+    """Done callback, run in the parent: mark each solution it has received."""
+    if future.exception() is None:
+        (marks / f"done_{future.result().p}").touch()
+
+
+def _dying_solve(marks, parent, last, others, p, alpha, m_max, tol):
+    """A solve that records each in-process run; in a pool worker, the job
+    for p = ``last`` ends its worker once the parent holds every other
+    solution of the batch."""
+    if os.getpid() == parent:
+        with open(marks / "in_process.txt", "a") as fh:
+            fh.write(f"{p}\n")
+    elif p == last:
+        deadline = time.monotonic() + 60.0
+        while (not all((marks / f"done_{q}").exists() for q in others)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        os._exit(1)
+    return _REAL_SOLVE(p, alpha, m_max, tol)
+
+
+def test_prefetch_solves_the_whole_batch_in_process_when_a_worker_dies(
+        closed_pool, monkeypatch, caplog, tmp_path):
+    params = [(125.5, 0.0, 1), (126.5, 0.0, 1), (127.5, 0.0, 1)]
+    keys = [(p, alpha, m, ro.default_tolerance()) for p, alpha, m in params]
+    wait = ro.wait
+
+    def wait_marking_results(futures):
+        for future in futures:
+            future.add_done_callback(functools.partial(_mark_result, tmp_path))
+        return wait(futures)
+
+    monkeypatch.setattr(ro, "wait", wait_marking_results)
+    # the pool pickles the job's function by reference, so it must be importable
+    monkeypatch.setattr(ro, "_solve_impl", functools.partial(
+        _dying_solve, tmp_path, os.getpid(), 127.5, (125.5, 126.5)))
+    with caplog.at_level(logging.DEBUG, logger="nodal"):
+        sols = ro.prefetch_solutions(params, workers=2)
+    # the last job's worker died after the parent held the other solutions, and
+    # none of them is kept: every key is solved in-process once
+    assert sorted(mark.name for mark in tmp_path.glob("done_*")) == ["done_125.5", "done_126.5"]
+    assert sorted((tmp_path / "in_process.txt").read_text().split()) == ["125.5", "126.5", "127.5"]
+    for key, sol in zip(keys, sols):
+        assert ro._CACHE[key] is sol
+        _assert_same_solution(sol, _REAL_SOLVE(*key))
+    [record] = _batch_records(caplog)
+    assert record.startswith("prefetch_solutions: 3 jobs sequentially (process pool "
+                             "unavailable or broken, BrokenProcessPool: ")
+    assert ro._POOL is None
 
 
 _POOL_PIDS_SCRIPT = """

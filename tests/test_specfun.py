@@ -82,6 +82,8 @@ def test_domain_error():
     with pytest.raises(ValueError):
         lambert_w0(-math.exp(-1.0) * 1.0000001)
     assert lambert_w0(-math.exp(-1.0)) == -1.0
+    with pytest.raises(ValueError, match="^lambert_w0: argument is NaN$"):
+        lambert_w0(math.nan)
 
 
 def test_ln_gamma_trivials():

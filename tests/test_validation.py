@@ -1,5 +1,6 @@
-"""One validation path: every count goes through ``_check_count`` and every
-exponent p through ``_check_p``; and one quadrature rule, ``_tanh_sinh``."""
+"""One validation path: every count goes through ``_check_count``, every
+exponent p through ``_check_p`` and every tolerance through ``_check_tol``;
+and one quadrature rule, ``_tanh_sinh``."""
 
 import ast
 import math
@@ -91,6 +92,12 @@ def test_rejected_count_leaves_the_memo_unchanged():
     (lambda: cn._check_p("f", math.nan), "f: p must be finite and > 1 (got nan)"),
     (lambda: cn._check_p("f", 1.0), "f: p must be finite and > 1 (got 1.0)"),
     (lambda: cn._check_p("f", math.inf), "f: p must be finite and > 1 (got inf)"),
+    (lambda: cn._check_tol("f", math.nan), "f: tol must be in (0, 1) (got nan)"),
+    (lambda: cn._check_tol("f", 0.0), "f: tol must be in (0, 1) (got 0.0)"),
+    (lambda: cn._check_tol("f", 1.0), "f: tol must be in (0, 1) (got 1.0)"),
+    (lambda: cn._check_tol("f", -math.inf), "f: tol must be in (0, 1) (got -inf)"),
+    (lambda: rd.solve_whole_plane(100.0, 0.0, 1, 2.0),
+     "prefetch_solutions: tol must be in (0, 1) (got 2.0)"),
 ])
 def test_rule_messages(call, message):
     with pytest.raises(ValueError) as info:
@@ -121,7 +128,8 @@ def _orders_against_int(test: ast.expr) -> bool:
 def _hand_written_checks() -> list[tuple[str, str, int, str]]:
     """``(file, function, line, rule)`` of each ``if ...: raise ValueError(...)`` in
     the package that does a rule's work outside it: a count ordered against an
-    integer bound with the count rule's words, or a test on the name ``p``."""
+    integer bound with the count rule's words, or a test on the name ``p`` or
+    ``tol``."""
     found = []
     for path in sorted(_SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -136,9 +144,10 @@ def _hand_written_checks() -> list[tuple[str, str, int, str]]:
                     if (func.name != "_check_count" and _orders_against_int(node.test)
                             and ("must be >=" in text or "out of range" in text)):
                         found.append((path.name, func.name, node.lineno, "count"))
-                    if func.name != "_check_p" and any(
-                            isinstance(n, ast.Name) and n.id == "p" for n in ast.walk(node.test)):
-                        found.append((path.name, func.name, node.lineno, "p"))
+                    for name, rule in (("p", "_check_p"), ("tol", "_check_tol")):
+                        if func.name != rule and any(isinstance(n, ast.Name) and n.id == name
+                                                     for n in ast.walk(node.test)):
+                            found.append((path.name, func.name, node.lineno, name))
     return found
 
 

@@ -27,6 +27,18 @@ def test_richardson_degenerate():
         vf.richardson_extrapolate([(50.0, 1.0)])
     with pytest.raises(ValueError):
         vf.richardson_extrapolate([(50.0, 1.0), (50.0, 2.0)])
+    # two distinct p whose 1/p round to the same double
+    ps = (2.0660353362554698e21, 2.06603533625547e21)
+    assert ps[0] != ps[1] and 1.0 / ps[0] == 1.0 / ps[1]
+    with pytest.raises(ValueError, match=r"degenerate fit \(rank deficient\)$"):
+        vf.richardson_extrapolate([(ps[0], 1.0), (ps[1], 2.0)])
+
+
+@pytest.mark.parametrize("errors", [(0.0, 0.0, 0.0), (0.0, 0.1, 0.0), (0.2,)])
+def test_fit_rate_needs_two_nonzero_errors(errors):
+    rows = [vf.ConvergenceRow(p, 1.0 + err, 1.0, err)
+            for p, err in zip((50.0, 100.0, 200.0), errors)]
+    assert math.isnan(vf._fit_rate(rows))
 
 
 def test_convergence_report_validation():
