@@ -288,17 +288,22 @@ def bubble_pde_residual(spec: BubbleSpec, r_grid: np.ndarray, h: float = 1e-3) -
     Derivatives use centered differences with per-point step ``h * r``
     (the profiles vary on a scale proportional to the radius); the
     residual is O(h^2) with a grid-dependent constant, so halving ``h``
-    quarters it.
+    quarters it.  The source term is one exponential, so r^alpha and
+    ((alpha+2)/2)^2 are never formed; a residual that still overflows, as
+    Z does for alpha near the edge ``bubble_spec`` allows, is a ValueError.
     """
     r = np.asarray(r_grid, dtype=float)
     if not np.all((r > 0.0) & (r < math.inf)):
         raise ValueError("bubble_pde_residual: grid must be positive and finite")
-    q = spec.alpha + 2.0
     hr = h * r
     zm = bubble_profile(spec, r - hr)
     z0 = bubble_profile(spec, r)
     zp = bubble_profile(spec, r + hr)
-    d2 = (zp - 2.0 * z0 + zm) / (hr * hr)
-    d1 = (zp - zm) / (2.0 * hr)
-    res = d2 + d1 / r + (q / 2.0) ** 2 * r**spec.alpha * np.exp(z0)
-    return float(np.max(np.abs(res), initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (zp - 2.0 * z0 + zm) / (hr * hr)
+        d1 = (zp - zm) / (2.0 * hr)
+        source = np.exp(2.0 * math.log((spec.alpha + 2.0) / 2.0) + spec.alpha * np.log(r) + z0)
+        res = float(np.max(np.abs(d2 + d1 / r + source), initial=0.0))
+    if not math.isfinite(res):
+        raise ValueError(f"bubble_pde_residual: the residual overflows at alpha={spec.alpha!r}")
+    return res

@@ -137,14 +137,13 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_constants(args) -> int:
     m, alpha = args.m, args.alpha
-    # one theta pass serves every table; constant_table validates m and alpha
-    th = cn.theta_sequence(max(m, 0))
-    table = cn.constant_table(m, alpha, th)
-    ntab = cn.neumann_constants(m, table) if m >= 2 else None
-    m0s = cn.m0_sequence(m, th)
-    plane = cn.whole_plane_limits_suite(m, alpha, th)
+    table = cn.constant_table(m, alpha)  # validates m and alpha
+    ntab = cn.neumann_constants(m) if m >= 2 else None
+    m0s = cn.m0_sequence(m)
+    plane = cn.whole_plane_limits_suite(m, alpha)
 
     if args.format == "json":
+        th = cn.theta_sequence(m)  # the a_seq oracle is printed only here
         payload = {
             "m": m,
             "alpha": alpha,
@@ -171,7 +170,7 @@ def _cmd_constants(args) -> int:
         """``values`` in rows ``start``.., empty cells elsewhere."""
         return [None] * start + values + [None] * (n - start - len(values))
 
-    theta, m0_list = th.theta.tolist(), m0s.tolist()
+    theta, m0_list = cn._theta_head(n), m0s.tolist()
     if ntab is not None:
         neumann = [pad(ntab.Rbar[1:].tolist(), 1), pad(ntab.Dbar[1:].tolist(), 1),
                    pad(ntab.Sbar.tolist(), 0), pad(ntab.Mbar.tolist(), 0)]

@@ -14,28 +14,26 @@ Neumann and whole-plane variants are algebraic transforms of the same
 table.
 
 The Lambert recursion runs in one place, the generator ``_thetas``; every
-caller reads theta from it.  The closed product formula for ``M[0]``
-is one running product, the generator ``_m0_values``, behind
-:func:`m0_product_formula`, :func:`m0_sequence`, :func:`m0_over_sqrt_m`
-and :func:`m0_bounds_suite`.  Two independent routes remain as internal
-oracles: the ``a_seq`` recursion of :func:`theta_sequence`, and the
-prefix sums of :func:`constant_table`.
+caller reads theta from it.  The longest prefix asked for so far is kept in
+``_THETA``, which only ``_theta_head`` extends, by rebinding a longer list
+and never by changing one in place, so a thread or a forked worker always
+reads a complete prefix.  Each term is computed once per process, except
+past the prefix in :func:`m0_product_formula`, which streams in O(1) memory.
+The closed product formula for ``M[0]`` is one running product, the
+generator ``_m0_values``, behind :func:`m0_product_formula`,
+:func:`m0_sequence`, :func:`m0_over_sqrt_m` and :func:`m0_bounds_suite`.
+Two independent routes remain as internal oracles: the ``a_seq``
+recursion of :func:`theta_sequence`, and the prefix sums of
+:func:`constant_table`.
 
 Every table entry is read from one ``(ln_Mb, ln_Db, prefix)`` triple,
 ``_TableLogs``, whose k-th terms depend only on theta_0..theta_{k-1}; a
 triple built for ``m_max`` serves the tables of every m <= m_max bit for
-bit.  So each suite (:func:`whole_plane_limits_suite`,
-:func:`sup_norm_bounds_suite`, like :func:`theta_bounds_suite` and
-:func:`m0_bounds_suite`) computes theta once per call, and ``nodal
-bounds`` costs about 2*kmax + 2*mmax scalar Lambert evaluations, not
-O(M^2): theta and its ``a_seq`` oracle up to kmax, and a theta prefix for
-each m suite.  The theta sandwich decides its W(1/(4k)) clauses through
-x*e^x and forms no W.
-:func:`constant_table`, :func:`m0_sequence` and
-:func:`whole_plane_limits_suite` also read theta from a given
-:class:`ThetaTable`, so ``nodal constants --m M`` runs the recursion once,
-in :func:`theta_sequence` (2M Lambert evaluations with its ``a_seq``
-oracle).  Nothing is cached across calls.
+bit.  So ``nodal bounds`` costs at most kmax + max(kmax, mmax) scalar
+Lambert evaluations: the ``a_seq`` oracle up to kmax and one theta
+prefix; ``nodal constants --m M`` costs M as CSV, and 2M as JSON, which
+also prints the oracle.  The theta sandwich decides its W(1/(4k)) clauses
+through x*e^x and forms no W.
 
 The bounds suites return a :class:`BoundsTable`, the reports as parallel
 columns, and every sandwich is checked over whole columns by one rule,
@@ -152,22 +150,34 @@ def _theta_step(theta_prev: float) -> float:
     return 2.0 / lambert_w0(y * math.exp(-y)) + 2.0
 
 
+#: theta_0 .. theta_{n-1} for the largest n asked of ``_theta_head`` so far
+_THETA = [2.0]
+
+
 def _thetas() -> Iterator[float]:
     """theta_0 = 2, theta_1, theta_2, ...: the one place the recursion runs.
 
-    Each term is computed only when it is requested.
+    The stored prefix is yielded first; each later term is computed only
+    when it is requested, and is not stored.
     """
-    th = 2.0
+    prefix = _THETA
+    yield from prefix
+    th = prefix[-1]
     while True:
-        yield th
         th = _theta_step(th)
+        yield th
 
 
-def _theta_head(n: int, table: ThetaTable | None = None) -> list[float]:
-    """``theta_0 .. theta_{n-1}``, read from ``table`` when it holds them."""
-    if table is not None and table.k_max >= n - 1:
-        return table.theta[:n].tolist()
-    return list(islice(_thetas(), n))
+def _theta_head(n: int) -> list[float]:
+    """``theta_0 .. theta_{n-1}`` as a new list; a shorter stored prefix is extended to n terms.
+
+    ``_THETA`` is rebound, never changed in place; when two threads race,
+    the shorter of two complete prefixes may win, which costs only a rerun.
+    """
+    global _THETA
+    if len(_THETA) < n:
+        _THETA = list(islice(_thetas(), n))
+    return _THETA[:n]
 
 
 def _a_step(a_prev: float) -> float:
@@ -247,12 +257,11 @@ class _TableLogs:
     All products are formed from differences of ``prefix``, which keeps
     full relative precision for large m.  ``R``, ``S``, ``M`` and ``D``
     return ``constant_table(m).X[i]`` for the index ranges documented on
-    :class:`ConstantTable`.  Theta is read from ``table`` when it reaches
-    theta_{m_max-1}.
+    :class:`ConstantTable`.
     """
 
-    def __init__(self, m_max: int, table: ThetaTable | None = None) -> None:
-        theta = _theta_head(m_max, table)
+    def __init__(self, m_max: int) -> None:
+        theta = _theta_head(m_max)
         ln_mb = [0.0] + [2.0 / (2.0 + th) for th in theta]
         ln_db = [0.0] + [ln_mb[k] + math.log(theta[k - 1] + 2.0)
                          for k in range(1, m_max + 1)]
@@ -282,18 +291,11 @@ class _TableLogs:
         return math.exp(self.ln_db[i] + self.prefix[i] - self.prefix[m])
 
 
-def constant_table(
-    m: int, alpha: float = 0.0, theta: ThetaTable | None = None
-) -> ConstantTable:
-    """Build the full R/S/M/D table for ``m`` nodal regions.
-
-    ``theta``, when it is ``theta_sequence(k)`` for some k >= m - 1, is
-    read instead of running the recursion; the table is the same bit for
-    bit.
-    """
+def constant_table(m: int, alpha: float = 0.0) -> ConstantTable:
+    """Build the full R/S/M/D table for ``m`` nodal regions."""
     _check_count("constant_table", "m", m, 1)
     _check_alpha("constant_table", alpha)
-    logs = _TableLogs(m, theta)
+    logs = _TableLogs(m)
     R = np.full(m, math.nan)
     R[1:] = [logs.R(m, i) for i in range(1, m)]
     S = np.array([logs.S(m, i) for i in range(m)])
@@ -329,17 +331,15 @@ def m0_product_formula(m: int) -> float:
     return next(islice(_m0_values(_thetas()), m - 1, None))
 
 
-def m0_sequence(m_max: int, theta: ThetaTable | None = None) -> np.ndarray:
+def m0_sequence(m_max: int) -> np.ndarray:
     """``constant_table(i).M[0]`` for i = 1..m_max via one running product.
 
-    Entry j (0-based) holds the value for i = j + 1.  ``theta``, when it
-    is ``theta_sequence(k)`` for some k >= m_max - 1, is read instead of
-    running the recursion.
+    Entry j (0-based) holds the value for i = j + 1.
     """
     _check_count("m0_sequence", "m_max", m_max, 1)
     out = np.empty(m_max)
     out[0] = SQRT_E
-    out[1:] = np.fromiter(_m0_values(_theta_head(m_max, theta)), float, m_max - 1)
+    out[1:] = np.fromiter(_m0_values(_theta_head(m_max)), float, m_max - 1)
     return out
 
 
@@ -376,14 +376,10 @@ class NeumannConstantTable:
             _freeze(arr)
 
 
-def neumann_constants(m: int, table: ConstantTable | None = None) -> NeumannConstantTable:
-    """Neumann variant of :func:`constant_table` (requires m >= 2).
-
-    ``table``, when it is the Dirichlet table for this m, is rescaled
-    instead of building a new one.
-    """
+def neumann_constants(m: int) -> NeumannConstantTable:
+    """Neumann variant of :func:`constant_table` (requires m >= 2)."""
     _check_count("neumann_constants", "m", m, 2)
-    tab = table if table is not None and table.m == m else constant_table(m)
+    tab = constant_table(m)
     s_last = tab.S[m - 1]
     Rbar = tab.R / s_last
     Dbar = s_last * tab.D[:m]  # interior zeros only: valid slots 1..m-1
@@ -421,17 +417,11 @@ def whole_plane_limits(m: int, alpha: float = 0.0) -> WholePlaneLimits:
     return whole_plane_limits_suite(m, alpha)[-1]
 
 
-def whole_plane_limits_suite(
-    m_max: int, alpha: float = 0.0, theta: ThetaTable | None = None
-) -> list[WholePlaneLimits]:
-    """:func:`whole_plane_limits` for m = 1..m_max off one theta prefix.
-
-    ``theta``, when it is ``theta_sequence(k)`` for some k >= m_max, is
-    read instead of running the recursion.
-    """
+def whole_plane_limits_suite(m_max: int, alpha: float = 0.0) -> list[WholePlaneLimits]:
+    """:func:`whole_plane_limits` for m = 1..m_max off one theta prefix."""
     _check_count("whole_plane_limits_suite", "m_max", m_max, 1)
     _check_alpha("whole_plane_limits_suite", alpha)
-    logs = _TableLogs(m_max + 1, theta)
+    logs = _TableLogs(m_max + 1)
     q = alpha + 2.0
     out = []
     for m in range(1, m_max + 1):
@@ -603,7 +593,7 @@ def m0_bounds_suite(m_max: int) -> BoundsTable:
     _check_count("m0_bounds_suite", "m_max", m_max, 1)
     ms = range(1, m_max + 1)
     lower, upper = zip(*map(_m0_gamma_bounds, ms))
-    value = np.fromiter(_m0_values(_thetas()), float, m_max)
+    value = np.fromiter(_m0_values(_theta_head(m_max + 1)), float, m_max)
     return _sandwich("m0_growth", ms, lower, value, upper)
 
 

@@ -184,6 +184,20 @@ def test_pde_residual_grid_validation():
             bb.bubble_pde_residual(spec, np.array(grid))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, r_max", [(1e150, 1.5), (1e155, 1.5), (1e300, 1.5),
+                                          (1e306, 10.0)])
+@pytest.mark.parametrize("i", [0, 10])
+def test_pde_residual_at_large_alpha(i, alpha, r_max):
+    # any alpha bubble_spec accepts gives a finite residual, or names alpha when it overflows
+    spec, grid = bb.bubble_spec(i, alpha), np.linspace(0.5, r_max, 50)
+    if (i, alpha) == (10, 1e306):
+        with pytest.raises(ValueError, match=r"^bubble_pde_residual: .*alpha=1e\+306"):
+            bb.bubble_pde_residual(spec, grid)
+    else:
+        assert math.isfinite(bb.bubble_pde_residual(spec, grid))
+
+
 def test_profile_samples_shape():
     spec = bb.bubble_spec(1, 0.0)
     out = bb.profile_samples(spec, np.linspace(0.0, 10.0, 11))

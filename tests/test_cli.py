@@ -165,6 +165,14 @@ def test_constants_reads_theta_once(capsys, monkeypatch):
     assert _lambert_calls(monkeypatch, ["constants", "--m", str(m)]) <= 2 * m + 1
 
 
+@pytest.mark.parametrize("fmt, most", [("csv", 201), ("json", 400)])
+def test_constants_computes_each_theta_once_and_a_seq_for_json_only(capsys, monkeypatch,
+                                                                   fmt, most):
+    # from a cold theta prefix: theta_1..theta_200, plus a_seq_1..a_seq_200 in JSON
+    monkeypatch.setattr(cn, "_THETA", [2.0])
+    assert _lambert_calls(monkeypatch, ["constants", "--m", "200", "--format", fmt]) <= most
+
+
 @pytest.mark.parametrize("kmax", ["0", "-1"])
 def test_bounds_nonpositive_kmax_rejected(capsys, kmax):
     assert run(["bounds", "--kmax", kmax, "--mmax", "3"]) == 1

@@ -1,6 +1,8 @@
 """Tests for the limit-constant tables, bounds, and growth checks."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -277,17 +279,6 @@ def test_sup_norm_suite_equals_concatenation(m_max):
     assert cn.sup_norm_bounds_suite(m_max) == singles
 
 
-def test_neumann_from_given_table():
-    for m in (2, 3, 40):
-        direct = cn.neumann_constants(m)
-        for table in (cn.constant_table(m, 1.0), cn.constant_table(m + 1)):
-            given = cn.neumann_constants(m, table)
-            assert given.m == m
-            for name in ("Rbar", "Dbar", "Sbar", "Mbar"):
-                assert np.array_equal(getattr(given, name), getattr(direct, name),
-                                      equal_nan=True)
-
-
 def test_energy_limits():
     assert abs(cn.energy_limit(1, 0.0, "dirichlet") - 4.0 * math.e) < 1e-12
     th1 = cn.theta_sequence(1).theta[1]
@@ -404,15 +395,86 @@ def test_theta_bounds_suite_rejects_nonpositive_kmax():
             cn.theta_bounds_suite(k_max)
 
 
-@pytest.mark.parametrize("k", [0, 39, 40, 41, 80])
-def test_tables_from_given_theta(k):
-    # a ThetaTable long enough is read; a shorter one is ignored; both give the same bits
-    m, theta = 40, cn.theta_sequence(k)
-    given, direct = cn.constant_table(m, 1.0, theta), cn.constant_table(m, 1.0)
-    for name in ("R", "S", "M", "D"):
-        assert np.array_equal(getattr(given, name), getattr(direct, name), equal_nan=True)
-    assert np.array_equal(cn.m0_sequence(m, theta), cn.m0_sequence(m))
-    assert cn.whole_plane_limits_suite(m, 2.5, theta) == cn.whole_plane_limits_suite(m, 2.5)
+def _theta_loop(n):
+    """theta_0 .. theta_{n-1} by the plain recursion, the reference for the stored prefix."""
+    out = [2.0]
+    while len(out) < n:
+        out.append(cn._theta_step(out[-1]))
+    return out[:n]
+
+
+_THETA_REF = _theta_loop(5000)
+
+
+@pytest.mark.parametrize("steps", [[5000], [1, 2, 3, 40, 41, 999, 5000], [5000, 4999, 17, 1]],
+                         ids=["one call", "rising", "from a longer prefix"])
+def test_theta_head_equals_the_plain_recursion(monkeypatch, steps):
+    monkeypatch.setattr(cn, "_THETA", [2.0])
+    for n in steps:
+        head = cn._theta_head(n)
+        assert head == _THETA_REF[:n]
+        assert len(cn._THETA) == max(steps[:steps.index(n) + 1])
+    assert cn._THETA == _THETA_REF[:max(steps)]
+
+
+def _theta_readers():
+    """Every result that reads the stored theta prefix, as comparable bits."""
+    m, alpha = 40, 2.5
+    tab, neu = cn.constant_table(m, alpha), cn.neumann_constants(m)
+    bounds = cn.theta_bounds_suite(30) + cn.m0_bounds_suite(m) + cn.sup_norm_bounds_suite(m)
+    return [
+        [getattr(tab, name).tobytes() for name in ("R", "S", "M", "D")],
+        [getattr(neu, name).tobytes() for name in ("Rbar", "Dbar", "Sbar", "Mbar")],
+        cn.m0_sequence(m).tobytes(),
+        cn.whole_plane_limits_suite(m, alpha),
+        [col.tobytes() if isinstance(col, np.ndarray) else col
+         for col in (bounds.check, bounds.index, bounds.lower, bounds.value, bounds.upper,
+                     bounds.holds)],
+        [bb.bubble_spec(i, alpha) for i in (0, 1, 39)],
+    ]
+
+
+def test_theta_readers_same_bits_from_a_cold_and_a_warm_prefix(monkeypatch):
+    monkeypatch.setattr(cn, "_THETA", [2.0])
+    cold = _theta_readers()
+    monkeypatch.setattr(cn, "_THETA", [2.0])
+    cn._theta_head(3000)
+    assert _theta_readers() == cold
+
+
+def test_streamed_m0_leaves_the_stored_prefix_alone(monkeypatch):
+    stored = cn._theta_head(10)
+    monkeypatch.setattr(cn, "_THETA", stored)
+    value, ratio = cn.m0_product_formula(50_000), cn.m0_over_sqrt_m(50_000)
+    assert cn._THETA is stored and len(stored) == 10
+    # the stored route gives the streamed bits
+    assert cn.m0_sequence(50_001)[-1] == value and value / math.sqrt(50_000) == ratio
+
+
+def test_theta_prefix_under_concurrent_requests(monkeypatch):
+    sizes = (5000, 1200, 3700, 2)
+    heads = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(5):
+            monkeypatch.setattr(cn, "_THETA", [2.0])
+            start = threading.Barrier(len(sizes))
+
+            def ask(n):
+                start.wait(timeout=30)
+                heads[n] = cn._theta_head(n)
+
+            threads = [threading.Thread(target=ask, args=(n,)) for n in sizes]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(heads.pop(n) == _THETA_REF[:n] for n in sizes)
+            assert cn._THETA == _THETA_REF[:len(cn._THETA)]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_m0_bounds_check():

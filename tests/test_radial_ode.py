@@ -288,7 +288,7 @@ def test_no_uniform_a_priori_bound_at_finite_p(alpha):
         assert np.argmax(dirichlet) == 0, m
         if m == 1:
             continue
-        mbar = cn.neumann_constants(m, tab).Mbar
+        mbar = cn.neumann_constants(m).Mbar
         neumann = np.abs(ro.neumann_solution(w, m).crit_values)
         assert np.max(np.abs(neumann - mbar) / mbar) <= 1e-3, m
         assert np.argmax(neumann) == 0, m

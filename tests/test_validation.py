@@ -1,6 +1,6 @@
 """One validation path: every count goes through ``_check_count``, every
 exponent p through ``_check_p`` and every tolerance through ``_check_tol``;
-and one quadrature rule, ``_tanh_sinh``."""
+one quadrature rule, ``_tanh_sinh``; and one theta recursion, ``_thetas``."""
 
 import ast
 import math
@@ -183,3 +183,23 @@ def _scipy_quadratures() -> list[tuple[str, int, str]]:
 
 def test_one_quadrature_rule():
     assert _scipy_quadratures() == []
+
+
+def _theta_steps_outside_thetas() -> list[tuple[str, int]]:
+    """``(file, line)`` of each reference to ``_theta_step`` in the package outside
+    ``constants._thetas``, the one place the theta recursion runs."""
+    found = []
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for func in ast.walk(tree)
+                  if path.name == "constants.py" and isinstance(func, ast.FunctionDef)
+                  and func.name == "_thetas" for node in ast.walk(func)}
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if id(node) not in inside and "_theta_step" in (
+                      getattr(node, "id", None), getattr(node, "attr", None),
+                      getattr(node, "name", None) if isinstance(node, ast.alias) else None)]
+    return found
+
+
+def test_one_theta_recursion():
+    assert _theta_steps_outside_thetas() == []

@@ -37,6 +37,7 @@ INVOCATIONS = [
     # constants
     ["constants", "--m", "25"],
     ["constants", "--m", "25", "--format", "json"],
+    ["constants", "--m", "200", "--format", "json"],
     ["constants", "--m", "1", "--alpha", "1.5", "--format", "json"],
     ["constants", "--m", "3", "--alpha", "2", "--out", "c.csv"],
     ["constants", "--m", "0"],
@@ -46,6 +47,7 @@ INVOCATIONS = [
     # bounds
     ["bounds", "--kmax", "777", "--mmax", "61"],
     ["bounds", "--kmax", "40", "--mmax", "12", "--format", "json"],
+    ["bounds", "--kmax", "5", "--mmax", "80"],
     ["bounds", "--kmax", "0", "--mmax", "3"],
     # solve
     ["solve", "--p", "200", "--alpha", "0", "--m", "2", "--bc", "dirichlet"],
