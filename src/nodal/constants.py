@@ -24,16 +24,18 @@ generator ``_m0_values``, behind :func:`m0_product_formula`,
 :func:`m0_sequence`, :func:`m0_over_sqrt_m` and :func:`m0_bounds_suite`.
 Two independent routes remain as internal oracles: the ``a_seq``
 recursion of :func:`theta_sequence`, and the prefix sums of
-:func:`constant_table`.
+:func:`constant_table`.  The ``a_seq`` prefix is kept in ``_A_SEQ`` by the
+same rule as ``_THETA``, and its terms come from ``_a_step``, never from theta.
 
 Every table entry is read from one ``(ln_Mb, ln_Db, prefix)`` triple,
 ``_TableLogs``, whose k-th terms depend only on theta_0..theta_{k-1}; a
 triple built for ``m_max`` serves the tables of every m <= m_max bit for
-bit.  So ``nodal bounds`` costs at most kmax + max(kmax, mmax) scalar
-Lambert evaluations: the ``a_seq`` oracle up to kmax and one theta
-prefix; ``nodal constants --m M`` costs M as CSV, and 2M as JSON, which
-also prints the oracle.  The theta sandwich decides its W(1/(4k)) clauses
-through x*e^x and forms no W.
+bit.  So the first ``nodal bounds`` in a process costs at most
+kmax + max(kmax, mmax) scalar Lambert evaluations: the ``a_seq`` oracle up
+to kmax and one theta prefix; the first ``nodal constants --m M`` costs M
+as CSV, and 2M as JSON, which also prints the oracle.  A later call costs
+only the terms past the stored prefixes.  The theta sandwich decides its
+W(1/(4k)) clauses through x*e^x and forms no W.
 
 The bounds suites return a :class:`BoundsTable`, the reports as parallel
 columns, and every sandwich is checked over whole columns by one rule,
@@ -185,6 +187,10 @@ def _a_step(a_prev: float) -> float:
     return lambert_w0(s * math.exp(-s))
 
 
+#: a_seq_0 .. a_seq_{n-1} for the largest n asked of ``theta_sequence`` so far
+_A_SEQ = [math.nan]
+
+
 @dataclass(frozen=True)
 class ThetaTable:
     """The limit-exponent sequence theta_k and its reformulation a_seq.
@@ -206,15 +212,20 @@ class ThetaTable:
 
 def theta_sequence(k_max: int) -> ThetaTable:
     """Compute ``theta_0 .. theta_k_max`` together with the a_seq oracle."""
+    global _A_SEQ
     _check_count("theta_sequence", "k_max", k_max, 0)
     theta = np.array(_theta_head(k_max + 1))
-    # a Python list keeps the Halley loop in lambert_w0 on plain floats
-    a_seq = [math.nan]
-    if k_max >= 1:
-        a_seq.append(lambert_w0(0.5 * math.exp(-0.5)))
-        for _ in range(1, k_max):
+    a_seq = _A_SEQ
+    if len(a_seq) <= k_max:
+        # extended as a new list, like _THETA; a Python list keeps the
+        # Halley loop in lambert_w0 on plain floats
+        a_seq = list(a_seq)
+        if len(a_seq) == 1:
+            a_seq.append(lambert_w0(0.5 * math.exp(-0.5)))
+        while len(a_seq) <= k_max:
             a_seq.append(_a_step(a_seq[-1]))
-    return ThetaTable(k_max=k_max, theta=theta, a_seq=np.array(a_seq))
+        _A_SEQ = a_seq
+    return ThetaTable(k_max=k_max, theta=theta, a_seq=np.array(a_seq[:k_max + 1]))
 
 
 @dataclass(frozen=True)

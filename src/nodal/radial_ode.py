@@ -34,6 +34,12 @@ pool per process: forked by the first batch that needs more than one
 worker, reused by later batches, replaced when a batch asks for another
 worker count or when the pool breaks, and shut down at interpreter exit
 (a worker whose parent process has gone exits too).
+
+SciPy is imported only where it runs: ``ode`` and ``brentq`` in
+:func:`_solve_impl`, DOP853's tableau in ``_step_coeffs``.  Importing this
+module loads no SciPy, so the p -> infinity commands never pay for it.  A
+parent loads the solver's SciPy modules before it forks a pool, so the
+workers inherit them instead of each importing them at the same time.
 """
 
 from __future__ import annotations
@@ -49,8 +55,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853, ode
-from scipy.optimize import brentq
 
 from .bubbles import QuadratureError, _tanh_sinh
 from .constants import _check_alpha, _check_count, _check_p, _check_tol, m0_product_formula
@@ -235,6 +239,8 @@ def _step_coeffs(p: float, q: float, t0: np.ndarray, y0: np.ndarray,
     Returns F with shape (n, 7, 4): step k's interpolant at the step
     fraction x is ``y0[k] + _basis(x) @ F[k]``.
     """
+    from scipy.integrate import DOP853
+
     h = t1 - t0
     k = np.empty((16, 4, len(h)))
     k[0] = _rhs_array(p, q, t0, y0)
@@ -328,6 +334,9 @@ def _crosses(a, b):
 
 
 def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSolution:
+    from scipy.integrate import ode
+    from scipy.optimize import brentq
+
     q = 2.0 + alpha
     # predicted location of the last zero, with 20% margin plus slack for small p
     ln_m0 = math.log(m0_product_formula(m_max - 1))
@@ -492,6 +501,10 @@ def _solve_on_pool(keys: list[tuple], workers: int) -> tuple[list[Future] | None
             reused = _POOL is not None and _POOL_WORKERS == workers
             if not reused:
                 _close_pool()  # first, so no other pool's threads run while workers fork
+                # the workers inherit these instead of each importing them at once
+                import scipy.integrate  # noqa: F401
+                import scipy.optimize  # noqa: F401
+
                 _POOL = ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
                 _POOL_WORKERS = workers
             futures = [_POOL.submit(_solve_impl, *key) for key in keys]

@@ -168,9 +168,20 @@ def test_constants_reads_theta_once(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt, most", [("csv", 201), ("json", 400)])
 def test_constants_computes_each_theta_once_and_a_seq_for_json_only(capsys, monkeypatch,
                                                                    fmt, most):
-    # from a cold theta prefix: theta_1..theta_200, plus a_seq_1..a_seq_200 in JSON
+    # from cold prefixes: theta_1..theta_200, plus a_seq_1..a_seq_200 in JSON
     monkeypatch.setattr(cn, "_THETA", [2.0])
+    monkeypatch.setattr(cn, "_A_SEQ", [math.nan])
     assert _lambert_calls(monkeypatch, ["constants", "--m", "200", "--format", fmt]) <= most
+
+
+def test_warm_bounds_makes_no_lambert_calls(capsys, monkeypatch):
+    # the first call stores theta_0..theta_4000 and a_seq_0..a_seq_4000; the
+    # second reads both stored prefixes, so neither recursion runs again
+    monkeypatch.setattr(cn, "_THETA", [2.0])
+    monkeypatch.setattr(cn, "_A_SEQ", [math.nan])
+    assert _lambert_calls(monkeypatch, ["bounds", "--kmax", "4000", "--mmax", "80"]) <= 8000
+    assert _lambert_calls(monkeypatch, ["bounds", "--kmax", "3500", "--mmax", "90"]) == 0
+    assert len(cn._A_SEQ) == 4001 and len(cn._THETA) == 4001
 
 
 @pytest.mark.parametrize("kmax", ["0", "-1"])
@@ -627,6 +638,23 @@ def test_module_entry_point_runs_cli(capsys):
     assert run(["constants", "--m", "3"]) == 0
     out, _ = _capture(capsys)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+
+@pytest.mark.parametrize("argv", [["constants", "--m", "25"],
+                                  ["bounds", "--kmax", "50", "--mmax", "10"],
+                                  ["bubble", "--i", "3", "--alpha", "1"]], ids=lambda a: a[0])
+def test_limit_commands_load_no_scipy(argv):
+    # the p -> infinity commands never run the solver, so a fresh process of
+    # each loads no scipy module; -X importtime lists every module it loads
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "nodal.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert {"numpy", "nodal.radial_ode", "nodal.verify"} <= set(loaded)
+    assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
 
 
 # one process runs these in turn; both bubble runs fill in their default rmin/rmax

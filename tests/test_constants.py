@@ -406,6 +406,17 @@ def _theta_loop(n):
 _THETA_REF = _theta_loop(5000)
 
 
+def _a_seq_loop(n):
+    """a_seq_0 .. a_seq_{n-1} by the plain recursion, the reference for the stored prefix."""
+    out = [math.nan, cn.lambert_w0(0.5 * math.exp(-0.5))]
+    while len(out) < n:
+        out.append(cn._a_step(out[-1]))
+    return np.array(out[:n])
+
+
+_A_SEQ_REF = _a_seq_loop(5000)
+
+
 @pytest.mark.parametrize("steps", [[5000], [1, 2, 3, 40, 41, 999, 5000], [5000, 4999, 17, 1]],
                          ids=["one call", "rising", "from a longer prefix"])
 def test_theta_head_equals_the_plain_recursion(monkeypatch, steps):
@@ -418,9 +429,9 @@ def test_theta_head_equals_the_plain_recursion(monkeypatch, steps):
 
 
 def _theta_readers():
-    """Every result that reads the stored theta prefix, as comparable bits."""
+    """Every result that reads the stored theta or a_seq prefix, as comparable bits."""
     m, alpha = 40, 2.5
-    tab, neu = cn.constant_table(m, alpha), cn.neumann_constants(m)
+    tab, neu, seq = cn.constant_table(m, alpha), cn.neumann_constants(m), cn.theta_sequence(m)
     bounds = cn.theta_bounds_suite(30) + cn.m0_bounds_suite(m) + cn.sup_norm_bounds_suite(m)
     return [
         [getattr(tab, name).tobytes() for name in ("R", "S", "M", "D")],
@@ -431,14 +442,19 @@ def _theta_readers():
          for col in (bounds.check, bounds.index, bounds.lower, bounds.value, bounds.upper,
                      bounds.holds)],
         [bb.bubble_spec(i, alpha) for i in (0, 1, 39)],
+        [seq.theta.tobytes(), seq.a_seq.tobytes()],
     ]
 
 
 def test_theta_readers_same_bits_from_a_cold_and_a_warm_prefix(monkeypatch):
     monkeypatch.setattr(cn, "_THETA", [2.0])
+    monkeypatch.setattr(cn, "_A_SEQ", [math.nan])
     cold = _theta_readers()
+    assert np.array(cn._A_SEQ).tobytes() == _A_SEQ_REF[:41].tobytes()
     monkeypatch.setattr(cn, "_THETA", [2.0])
+    monkeypatch.setattr(cn, "_A_SEQ", [math.nan])
     cn._theta_head(3000)
+    cn.theta_sequence(3000)
     assert _theta_readers() == cold
 
 
@@ -453,17 +469,27 @@ def test_streamed_m0_leaves_the_stored_prefix_alone(monkeypatch):
 
 def test_theta_prefix_under_concurrent_requests(monkeypatch):
     sizes = (5000, 1200, 3700, 2)
-    heads = {}
+    heads, a_seqs, suites = {}, {}, {}
+
+    def suite_bits(k):
+        suite = cn.theta_bounds_suite(k)
+        return suite.value.tobytes(), suite.holds.tobytes()
+
+    # the suites read once in this thread, as the reference
+    suite_ref = {n: suite_bits(n - 1) for n in sizes}
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         for _ in range(5):
             monkeypatch.setattr(cn, "_THETA", [2.0])
+            monkeypatch.setattr(cn, "_A_SEQ", [math.nan])
             start = threading.Barrier(len(sizes))
 
             def ask(n):
                 start.wait(timeout=30)
                 heads[n] = cn._theta_head(n)
+                a_seqs[n] = cn.theta_sequence(n - 1).a_seq.tobytes()
+                suites[n] = suite_bits(n - 1)
 
             threads = [threading.Thread(target=ask, args=(n,)) for n in sizes]
             for t in threads:
@@ -472,7 +498,10 @@ def test_theta_prefix_under_concurrent_requests(monkeypatch):
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert all(heads.pop(n) == _THETA_REF[:n] for n in sizes)
+            assert all(a_seqs.pop(n) == _A_SEQ_REF[:n].tobytes() for n in sizes)
+            assert all(suites.pop(n) == suite_ref[n] for n in sizes)
             assert cn._THETA == _THETA_REF[:len(cn._THETA)]
+            assert np.array(cn._A_SEQ).tobytes() == _A_SEQ_REF[:len(cn._A_SEQ)].tobytes()
     finally:
         sys.setswitchinterval(interval)
 

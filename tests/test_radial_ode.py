@@ -982,6 +982,43 @@ def test_pool_workers_exit_when_their_parent_is_killed(tmp_path):
     assert len(states) == 2 and set(states.values()) <= {None, "Z"}, states
 
 
+_FORKED_BATCH_SCRIPT = """
+import logging, pickle, sys
+from nodal import radial_ode as ro
+records = []
+handler = logging.Handler(logging.DEBUG)
+handler.emit = lambda record: records.append(record.getMessage())
+logging.getLogger("nodal").addHandler(handler)
+logging.getLogger("nodal").setLevel(logging.DEBUG)
+keys = [(60.5, 0.0, 2), (61.5, 1.0, 2), (62.5, 0.0, 3)]
+before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+sols = ro.prefetch_solutions(keys, workers=2)
+after = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump((before, after, records, keys, sols), fh)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+def test_forked_workers_inherit_the_solver_modules(tmp_path):
+    src = os.path.dirname(os.path.dirname(ro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    log, result = tmp_path / "out.txt", tmp_path / "result.pickle"
+    with open(log, "w") as fh:
+        proc = subprocess.run([sys.executable, "-c", _FORKED_BATCH_SCRIPT, str(result)],
+                              stdout=fh, stderr=fh, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, log.read_text()
+    with open(result, "rb") as fh:  # written by the script above
+        before, after, records, keys, sols = pickle.load(fh)
+    # nothing loaded SciPy before the batch, and the batch solved nothing in-process,
+    # yet the parent holds the solver's modules: it loaded them before forking
+    assert before == []
+    assert records == ["prefetch_solutions: 3 jobs on the newly forked pool of 2 workers"]
+    assert after == ["scipy.integrate", "scipy.optimize"]
+    for key, sol in zip(keys, sols):
+        _assert_same_solution(sol, ro._solve_impl(*key, ro.default_tolerance()))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_prefetch_returns_solutions_in_params_order(closed_pool, caplog, workers):
     # distinct p per parametrization, so each run has the same two misses

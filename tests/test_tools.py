@@ -1,4 +1,5 @@
-"""The command list of ``tools/cli_bytes.py`` names real subcommands and options."""
+"""The command lists of ``tools/cli_bytes.py`` and ``tools/cli_wall.py`` name real
+subcommands and options."""
 
 import argparse
 import importlib.util
@@ -28,3 +29,18 @@ def test_cli_bytes_invocations_parse_as_commands(monkeypatch):
             formats.setdefault(argv[0], set()).add(chosen or options["--format"].default)
     assert formats == dict.fromkeys(("constants", "bounds", "solve", "verify", "bubble"),
                                     {"csv", "json"})
+
+
+_CLI_WALL = _CLI_BYTES.with_name("cli_wall.py")
+
+
+def test_cli_wall_invocations_parse_as_commands(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("cli_wall", _CLI_WALL)
+    cw = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cw)  # defines the list only; no process starts
+    parser = cli._build_parser()
+    for argv in cw.INVOCATIONS:
+        args = parser.parse_args(argv)  # exits, failing the test, on an unknown option
+        assert args.fn is not None, argv
+    assert cw.ROUNDS >= 10

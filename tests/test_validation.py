@@ -1,6 +1,7 @@
 """One validation path: every count goes through ``_check_count``, every
 exponent p through ``_check_p`` and every tolerance through ``_check_tol``;
-one quadrature rule, ``_tanh_sinh``; and one theta recursion, ``_thetas``."""
+one quadrature rule, ``_tanh_sinh``; SciPy imported only inside functions;
+and one theta recursion, ``_thetas``."""
 
 import ast
 import math
@@ -159,30 +160,55 @@ def test_counts_and_exponents_have_one_rule_each():
 _SCIPY_FREE = {"bubbles.py", "constants.py", "specfun.py"}
 
 
+def _imports(path: Path):
+    """``(node, modules, at_import)`` of each import statement in ``path``:
+    the modules it names, and whether it runs when the module is imported,
+    that is, outside every function body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    in_functions = {id(node) for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(func) if node is not func}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names], id(node) not in in_functions
+        elif isinstance(node, ast.ImportFrom):
+            yield node, [node.module or ""], id(node) not in in_functions
+
+
+def _is_scipy(module: str) -> bool:
+    return module == "scipy" or module.startswith("scipy.")
+
+
 def _scipy_quadratures() -> list[tuple[str, int, str]]:
     """``(file, line, module)`` of each import in the package that brings in a
     SciPy quadrature routine, or any ``scipy`` module into ``_SCIPY_FREE``;
     ``bubbles._tanh_sinh`` is the package's one quadrature rule."""
     found = []
     for path in sorted(_SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-                if modules[0] == "scipy.integrate" and any(
-                        alias.name in {"quad", "quad_vec", "tanhsinh"} for alias in node.names):
-                    found.append((path.name, node.lineno, modules[0]))
-            else:
-                continue
+        for node, modules, _ in _imports(path):
+            if isinstance(node, ast.ImportFrom) and modules[0] == "scipy.integrate" and any(
+                    alias.name in {"quad", "quad_vec", "tanhsinh"} for alias in node.names):
+                found.append((path.name, node.lineno, modules[0]))
             if path.name in _SCIPY_FREE:
-                found += [(path.name, node.lineno, m) for m in modules
-                          if m == "scipy" or m.startswith("scipy.")]
+                found += [(path.name, node.lineno, m) for m in modules if _is_scipy(m)]
     return found
 
 
 def test_one_quadrature_rule():
     assert _scipy_quadratures() == []
+
+
+def _module_level_scipy_imports() -> list[tuple[str, int, str]]:
+    """``(file, line, module)`` of each ``scipy`` import in the package that
+    runs when its module is imported; SciPy is imported only inside the
+    functions that run the solver, so ``import nodal`` loads none of it."""
+    return [(path.name, node.lineno, m) for path in sorted(_SRC.glob("*.py"))
+            for node, modules, at_import in _imports(path) if at_import
+            for m in modules if _is_scipy(m)]
+
+
+def test_no_module_level_scipy_import():
+    assert _module_level_scipy_imports() == []
 
 
 def _theta_steps_outside_thetas() -> list[tuple[str, int]]:
