@@ -7,6 +7,10 @@ separators, LF line endings, a header row, 17-significant-digit value
 columns, and (in the constants table) 6-digit display columns mirroring
 the usual printed precision.
 
+Each data command returns what it prints, the JSON value or
+``(header, columns)`` for CSV, and :func:`run` alone writes it: to stdout,
+or byte for byte to the ``--out`` file.  ``sweep`` writes its own directory.
+
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
@@ -126,25 +130,18 @@ def _to_csv(header: list[str], columns: Iterable[Sequence]) -> str:
     return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
-
-
 # ----------------------------------------------------------------- commands
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> object:
     m, alpha = args.m, args.alpha
     table = cn.constant_table(m, alpha)  # validates m and alpha
-    ntab = cn.neumann_constants(m) if m >= 2 else None
+    ntab = cn._neumann_table(table) if m >= 2 else None
     m0s = cn.m0_sequence(m)
     plane = cn.whole_plane_limits_suite(m, alpha)
 
     if args.format == "json":
         th = cn.theta_sequence(m)  # the a_seq oracle is printed only here
-        payload = {
+        return {
             "m": m,
             "alpha": alpha,
             "theta": th.theta,
@@ -155,8 +152,6 @@ def _cmd_constants(args) -> int:
             "neumann": ntab,
             "whole_plane": plane,
         }
-        _emit(_to_json(payload), args.out)
-        return 0
 
     header = [
         "i", "theta", "M0", "M0_over_sqrt", "theta_full",
@@ -187,22 +182,19 @@ def _cmd_constants(args) -> int:
         *(pad([getattr(w, name) for w in plane], 1)
           for name in ("rho_lim", "drv_lim", "delta_lim", "val_lim")),
     ]
-    _emit(_to_csv(header, columns), args.out)
-    return 0
+    return header, columns
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> object:
     table = (cn.theta_bounds_suite(args.kmax) + cn.m0_bounds_suite(args.mmax)
              + cn.sup_norm_bounds_suite(args.mmax))
     if args.format == "json":
         # one object per report row; the BoundsTable dataclass itself holds columns
-        _emit(_to_json(list(table)), args.out)
-        return 0
+        return list(table)
     header = ["check", "index", "lower", "value", "upper", "holds"]
     *columns, holds = table.columns()
     columns.append(["true" if h else "false" for h in holds])
-    _emit(_to_csv(header, columns), args.out)
-    return 0
+    return header, columns
 
 
 def _dump(w, bc: str, m: int, samples: int = 0) -> dict:
@@ -231,35 +223,31 @@ def _dump(w, bc: str, m: int, samples: int = 0) -> dict:
     return out
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> object:
     cn._check_bc("solve", args.bc, args.m)
     cn._check_count("solve", "--samples", args.samples, 0)
     w = solve_whole_plane(args.p, args.alpha, args.m, args.tol)
     dump = _dump(w, args.bc, args.m, args.samples)
     if args.format == "json":
-        _emit(_to_json(dump), args.out)
-        return 0
+        return dump
     samples = dump.get("samples")
     if samples is None:
         raise ValueError("solve: csv output requires --samples N")
-    _emit(_to_csv(list(samples), samples.values()), args.out)
-    return 0
+    return list(samples), samples.values()
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> object:
     reports = convergence_report(args.m, args.alpha, args.bc, args.p, args.tol)
     if args.format == "json":
-        _emit(_to_json(reports), args.out)
-        return 0
+        return reports
     header = ["quantity", "bc", "m", "alpha", "i", "p", "computed", "limit", "abs_err"]
     rows = [[rep.quantity, rep.bc, rep.m, rep.alpha, rep.i,
              row.p, row.computed, row.limit, row.abs_err]
             for rep in reports for row in rep.rows]
-    _emit(_to_csv(header, zip(*rows)), args.out)
-    return 0
+    return header, zip(*rows)
 
 
-def _cmd_bubble(args) -> int:
+def _cmd_bubble(args) -> object:
     cn._check_count("bubble", "--n", args.n, 1)
     spec = bubble_spec(args.i, args.alpha)
     if args.rmin is None:
@@ -290,18 +278,11 @@ def _cmd_bubble(args) -> int:
             "outer_expected": spec.theta_i + 2.0,
         }
     if args.format == "json":
-        payload = {
-            "spec": spec,
-            "checks": checks,
-            "samples": samples.tolist(),
-        }
-        _emit(_to_json(payload), args.out)
-        return 0
+        return {"spec": spec, "checks": checks, "samples": samples.tolist()}
     for name, ck in checks.items():
         print(f"# {name}: " + " ".join(f"{k}={_fmt(float(v))}" for k, v in ck.items()),
               file=sys.stderr)
-    _emit(_to_csv(["r", "Z", "expZ"], samples.T.tolist()), args.out)
-    return 0
+    return ["r", "Z", "expZ"], samples.T.tolist()
 
 
 def _parse_sweep_config(path: str) -> dict:
@@ -366,7 +347,7 @@ def _config_float(text: str) -> float:
         raise ValueError(f"bad value {text!r}") from None
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     cfg = _parse_sweep_config(args.config)
     tol = cfg.get("tol")
     for m in cfg["m"]:
@@ -391,7 +372,6 @@ def _cmd_sweep(args) -> int:
         (out_dir / name).write_text(_to_json(payload), encoding="utf-8", newline="")
         index.append(name)
     (out_dir / "index.json").write_text(_to_json(index), encoding="utf-8", newline="")
-    return 0
 
 
 # ----------------------------------------------------------------- parser
@@ -431,15 +411,11 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("constants", help="limit constant tables")
     c.add_argument("--m", type=int, required=True, help="nodal regions (>= 1)")
     c.add_argument("--alpha", type=float, default=0.0)
-    c.add_argument("--format", choices=("csv", "json"), default="csv")
-    c.add_argument("--out", default=None)
     c.set_defaults(fn=_cmd_constants)
 
     b = sub.add_parser("bounds", help="growth/sandwich bound reports")
     b.add_argument("--kmax", type=int, required=True)
     b.add_argument("--mmax", type=int, required=True)
-    b.add_argument("--format", choices=("csv", "json"), default="csv")
-    b.add_argument("--out", default=None)
     b.set_defaults(fn=_cmd_bounds)
 
     s = sub.add_parser("solve", help="solve the radial problem at finite p")
@@ -451,8 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print min(N, nodes) samples: the stored solver nodes (inside "
                         "the disc for dirichlet/neumann), spaced evenly by index")
     s.add_argument("--tol", type=float, default=None)
-    s.add_argument("--format", choices=("csv", "json"), default="json")
-    s.add_argument("--out", default=None)
     s.set_defaults(fn=_cmd_solve)
 
     v = sub.add_parser("verify", help="finite-p vs asymptotic convergence report")
@@ -462,8 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=_float_list, required=True,
                    help="comma-separated increasing exponents, e.g. 50,100,200")
     v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--format", choices=("csv", "json"), default="csv")
-    v.add_argument("--out", default=None)
     v.set_defaults(fn=_cmd_verify)
 
     bb = sub.add_parser("bubble", help="limit bubble profile and integrals")
@@ -472,8 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bb.add_argument("--rmin", type=float, default=None)
     bb.add_argument("--rmax", type=float, default=None)
     bb.add_argument("--n", type=int, default=200)
-    bb.add_argument("--format", choices=("csv", "json"), default="csv")
-    bb.add_argument("--out", default=None)
     bb.set_defaults(fn=_cmd_bubble)
 
     sw = sub.add_parser("sweep", help="batch solves over a parameter grid")
@@ -482,14 +452,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--workers", type=int, default=None)
     sw.set_defaults(fn=_cmd_sweep)
 
+    # the data commands' output options, last in each command's help
+    for cmd, fmt in ((c, "csv"), (b, "csv"), (s, "json"), (v, "csv"), (bb, "csv")):
+        cmd.add_argument("--format", choices=("csv", "json"), default=fmt)
+        cmd.add_argument("--out", default=None)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    """Dispatch one CLI invocation; returns the process exit code."""
+    """Dispatch one CLI invocation and write its output; returns the exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
+        result = args.fn(args)
+        if result is not None:
+            text = _to_json(result) if args.format == "json" else _to_csv(*result)
+            if args.out is None:
+                sys.stdout.write(text)
+            else:
+                Path(args.out).write_text(text, encoding="utf-8", newline="")
+        return 0
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     except (ValueError, OSError) as exc:

@@ -390,7 +390,12 @@ class NeumannConstantTable:
 def neumann_constants(m: int) -> NeumannConstantTable:
     """Neumann variant of :func:`constant_table` (requires m >= 2)."""
     _check_count("neumann_constants", "m", m, 2)
-    tab = constant_table(m)
+    return _neumann_table(constant_table(m))
+
+
+def _neumann_table(tab: ConstantTable) -> NeumannConstantTable:
+    """The Neumann table rescaled from the Dirichlet table ``tab`` (``tab.m >= 2``)."""
+    m = tab.m
     s_last = tab.S[m - 1]
     Rbar = tab.R / s_last
     Dbar = s_last * tab.D[:m]  # interior zeros only: valid slots 1..m-1
@@ -555,14 +560,17 @@ def _theta_sandwich(table: ThetaTable, ks: np.ndarray) -> BoundsTable:
     W is the inverse of the increasing map x*e^x on [0, inf), so each clause
     ``x < W(1/(4k))`` is decided as ``x*e^x < 1/(4k)`` and W is never formed:
     ``theta_k < 2 + 2/W`` is ``W < 2/(theta_k - 2)``, and ``1/(4k+1) < W``
-    is also ``2 + 2/W < 4+8k``.
+    is also ``2 + 2/W < 4+8k``.  With q = 1/(4k) and l = 1/(4k+1) = q/(1+q),
+    ``l*e^l < q`` is ``l < ln(q/l) = log1p(q)``, which is decided in that
+    form: its relative margin is about 1/(8k), against about 1/(32k^2) for
+    the product, which rounding overturns from k near 1e7 on.
     """
     theta = table.theta[ks]
     a = table.a_seq[ks]
     quarter = 1.0 / (4.0 * ks)
     b = 2.0 / (theta - 2.0)
     ell = 1.0 / (4.0 * ks + 1.0)
-    also = ((quarter < b * np.exp(b)) & (ell * np.exp(ell) < quarter)
+    also = ((quarter < b * np.exp(b)) & (ell < np.log1p(quarter))
             & (quarter < a * np.exp(a)) & (a < quarter))
     return _sandwich("theta_growth", ks, 2.0 + 8.0 * ks, theta, 4.0 + 8.0 * ks, also)
 

@@ -706,6 +706,34 @@ def test_unwritable_output_is_validation_error(tmp_path, capsys):
     assert run(["constants", "--m", "2", "--out", str(blocked)]) == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["constants", "--m", "3", "--alpha", "0.5"],
+    ["bounds", "--kmax", "6", "--mmax", "4"],
+    ["solve", "--p", "40", "--m", "2", "--bc", "neumann", "--samples", "7"],
+    ["verify", "--m", "2", "--bc", "dirichlet", "--p", "40,80"],
+    ["bubble", "--i", "1", "--n", "5"],
+], ids=lambda a: a[0])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    argv = [*argv, "--format", fmt]
+    assert run(argv) == 0
+    out, err = _capture(capsys)
+    target = tmp_path / "out.txt"
+    assert run([*argv, "--out", str(target)]) == 0
+    assert _capture(capsys) == ("", err)
+    assert target.read_bytes() == out.encode("utf-8") and out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_constants_builds_one_dirichlet_table(capsys, monkeypatch, fmt):
+    # the Neumann table is rescaled from the Dirichlet table the command holds
+    calls = []
+    build = cn.constant_table
+    monkeypatch.setattr(cn, "constant_table", lambda *a: calls.append(a) or build(*a))
+    assert run(["constants", "--m", "200", "--format", fmt]) == 0
+    assert calls == [(200, 0.0)]
+
+
 @pytest.mark.parametrize("flag, value", [("--p", "inf"), ("--p", "nan"), ("--alpha", "nan"),
                                          ("--alpha", "inf")])
 def test_solve_non_finite_exit_code(capsys, flag, value):

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -363,6 +364,31 @@ def test_theta_sandwich_rejects_each_broken_clause():
             a_seq[k] = a
         table = cn.ThetaTable(k_max=k, theta=theta, a_seq=a_seq)
         assert not cn._theta_sandwich(table, ks)[0].holds, name
+
+
+class _Formula:
+    """Stands in for a table column: ``column[ks]`` evaluates ``f(ks)``."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getitem__(self, ks):
+        return self.f(ks)
+
+
+@pytest.mark.parametrize("k_lo", [10_000_000, 30_000_000])
+def test_theta_sandwich_lower_w_clause_survives_rounding(k_lo):
+    # 1/(4k+1) < W(1/(4k)) has relative margin ~1/(8k) in the form l < log1p(q);
+    # as l*e^l < q it is ~1/(32k^2), which rounding overturns in these windows.
+    # theta_k = 8k+3 and a_seq[k] = q(1 - q/2) pass the other three clauses with
+    # margins ~1/(8k), so holds decides this clause alone, with no theta built
+    def a_seq(ks):
+        q = 1.0 / (4.0 * ks)
+        return q * (1.0 - q / 2.0)
+
+    table = SimpleNamespace(theta=_Formula(lambda ks: 8.0 * ks + 3.0), a_seq=_Formula(a_seq))
+    ks = np.arange(k_lo, k_lo + 2_000_000)
+    assert cn._theta_sandwich(table, ks).holds.all()
 
 
 def test_sandwich_rejects_each_broken_bound():

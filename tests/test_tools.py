@@ -18,15 +18,20 @@ def test_cli_bytes_invocations_parse_as_commands(monkeypatch):
     spec.loader.exec_module(cb)  # defines the list only; no process starts
     [commands] = [a for a in cli._build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
-    assert {argv[0] for argv in cb.INVOCATIONS} == set(commands.choices)
-    formats = {}
+    assert {argv[0] for argv in cb.INVOCATIONS} == {"--help", *commands.choices}
+    formats, used = {}, {}
     for argv in cb.INVOCATIONS:
+        if argv == ["--help"]:
+            continue
         options = commands.choices[argv[0]]._option_string_actions
         named = [arg.partition("=")[0] for arg in argv[1:] if arg.startswith("--")]
         assert set(named) <= set(options), argv
+        used.setdefault(argv[0], {"-h"}).update(named)
         if "--format" in options:
             chosen = argv[argv.index("--format") + 1] if "--format" in argv else None
             formats.setdefault(argv[0], set()).add(chosen or options["--format"].default)
+    # every option of every command, --out and --help included, appears in some line
+    assert used == {name: set(p._option_string_actions) for name, p in commands.choices.items()}
     assert formats == dict.fromkeys(("constants", "bounds", "solve", "verify", "bubble"),
                                     {"csv", "json"})
 

@@ -1,7 +1,7 @@
 """One validation path: every count goes through ``_check_count``, every
 exponent p through ``_check_p`` and every tolerance through ``_check_tol``;
 one quadrature rule, ``_tanh_sinh``; SciPy imported only inside functions;
-and one theta recursion, ``_thetas``."""
+one theta recursion, ``_thetas``; and one writer of CLI output, ``cli.run``."""
 
 import ast
 import math
@@ -229,3 +229,37 @@ def _theta_steps_outside_thetas() -> list[tuple[str, int]]:
 
 def test_one_theta_recursion():
     assert _theta_steps_outside_thetas() == []
+
+
+def _cli_writers() -> set[tuple[str, str]]:
+    """``(function, target)`` of each place ``cli.py`` writes: to ``stdout``,
+    ``stderr`` or a ``file``.  A method is named ``Class.method``; code outside
+    every function is ``<module>``."""
+    tree = ast.parse((_SRC / "cli.py").read_text(encoding="utf-8"))
+    units = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            units += [(f"{stmt.name}.{f.name}", f) for f in stmt.body
+                      if isinstance(f, ast.FunctionDef)]
+        else:
+            units.append((getattr(stmt, "name", "<module>"), stmt))
+    found = set()
+    for name, unit in units:
+        for node in ast.walk(unit):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "sys" and node.attr in ("stdout", "stderr")):
+                found.add((name, node.attr))
+            elif isinstance(node, ast.Call):
+                func = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if func == "print" and not any(kw.arg == "file" for kw in node.keywords):
+                    found.add((name, "stdout"))
+                elif func in ("open", "write_text", "write_bytes"):
+                    found.add((name, "file"))
+    return found
+
+
+def test_run_is_the_one_writer_of_command_output():
+    # the commands return what they print; sweep writes its output directory,
+    # and run and bubble's CSV path write diagnostic lines to stderr
+    assert _cli_writers() == {("run", "stdout"), ("run", "file"), ("run", "stderr"),
+                              ("_cmd_sweep", "file"), ("_cmd_bubble", "stderr")}

@@ -11,8 +11,9 @@ contents), and the command line.  Two checkouts compare with ``diff``:
     python tools/cli_bytes.py path/to/new/src > new.txt
     diff old.txt new.txt
 
-The list covers all six commands, both formats, and the documented exit-1
-and exit-2 cases.
+The list covers all six commands, both formats, ``--out`` for every command,
+the ``--help`` texts (at ``COLUMNS=80``), and the documented exit-1 and
+exit-2 cases.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ CONFIGS = {
 #: the command lines, each command's success cases first, then its exit-1
 #: (validation) and exit-2 (numerical failure) cases
 INVOCATIONS = [
+    # help texts
+    ["--help"],
+    *([command, "--help"] for command in ("constants", "bounds", "solve", "verify", "bubble",
+                                          "sweep")),
     # constants
     ["constants", "--m", "25"],
     ["constants", "--m", "25", "--format", "json"],
@@ -47,6 +52,7 @@ INVOCATIONS = [
     # bounds
     ["bounds", "--kmax", "777", "--mmax", "61"],
     ["bounds", "--kmax", "40", "--mmax", "12", "--format", "json"],
+    ["bounds", "--kmax", "30", "--mmax", "9", "--format", "json", "--out", "b.json"],
     ["bounds", "--kmax", "5", "--mmax", "80"],
     ["bounds", "--kmax", "0", "--mmax", "3"],
     # solve
@@ -67,11 +73,13 @@ INVOCATIONS = [
     # verify
     ["verify", "--m", "2", "--alpha", "0", "--bc", "dirichlet", "--p", "50,100,200"],
     ["verify", "--m", "3", "--bc", "neumann", "--p", "40,80", "--format", "json"],
+    ["verify", "--m", "2", "--alpha", "1", "--bc", "plane", "--p", "40,80", "--out", "v.csv"],
     ["verify", "--m", "2", "--bc", "dirichlet", "--p", "80,40"],
     ["verify", "--m", "2", "--bc", "dirichlet", "--p", "40,80", "--tol", "0"],
     # bubble
     ["bubble", "--i", "1", "--alpha", "0", "--rmin", "1", "--rmax", "20", "--n", "100"],
     ["bubble", "--i", "0", "--alpha", "1.5", "--format", "json"],
+    ["bubble", "--i", "2", "--alpha", "1", "--n", "50", "--format", "json", "--out", "bb.json"],
     ["bubble", "--i", "10", "--alpha", "1e300"],
     ["bubble", "--i", "10", "--alpha", "1e306"],
     ["bubble", "--i", "10", "--alpha", "2e306"],
@@ -106,7 +114,7 @@ def _files_digest(root: Path) -> str:
 
 def run_one(src: Path, argv: list[str]) -> str:
     """One invocation in a fresh process and working directory, as one line."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")  # one help width
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, text in CONFIGS.items():
