@@ -9,7 +9,8 @@ the usual printed precision.
 
 Each data command returns what it prints, the JSON value or
 ``(header, columns)`` for CSV, and :func:`run` alone writes it: to stdout,
-or byte for byte to the ``--out`` file.  ``sweep`` writes its own directory.
+or byte for byte to the ``--out`` file, refused before the command runs when
+its directory is missing.  ``sweep`` writes its own directory.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -463,6 +464,13 @@ def run(argv: list[str]) -> int:
     """Dispatch one CLI invocation and write its output; returns the exit code."""
     try:
         args = _build_parser().parse_args(argv)
+        if args.command != "sweep" and args.out is not None:
+            try:  # a missing directory fails before the command's work, as the write would
+                Path(args.out).parent.stat()
+            except FileNotFoundError as exc:
+                raise FileNotFoundError(exc.errno, exc.strerror, str(Path(args.out))) from None
+            except OSError:
+                pass  # any other failure stays the write's to report
         result = args.fn(args)
         if result is not None:
             text = _to_json(result) if args.format == "json" else _to_csv(*result)

@@ -4,8 +4,9 @@ The whole-plane radial solution normalized to u(0) = 1 is integrated in
 t = ln r, where the equation becomes ``u_tt + e^((2+alpha) t) |u|^(p-1) u = 0``.
 This removes both the coefficient singularity at r = 0 and the
 astronomically large zero radii (for m nodal regions the m-th zero grows
-like ``M^((p-1)/2)``); radii are kept as log-radii throughout and only
-exponentiated in reported ratios.
+like ``M^((p-1)/2)``); radii are kept as log-radii throughout, and a disc
+solution reports them only so (``np.exp(log_zeros)``, which underflows to 0
+at large p, is the caller's choice).
 
 Dirichlet, Neumann and Henon solutions in the unit disc are exact
 rescalings of the same whole-plane trajectory, so one integration serves
@@ -14,10 +15,12 @@ of that trajectory; its values are scaled to the disc only when read.
 
 The energies are carried as augmented quadrature states.  The
 integration runs in SciPy's compiled DOP853, which hands back only the
-accepted steps.  Its two Python callbacks work on plain floats
-(``y.tolist()``): NumPy scalar arithmetic cost about 40% of each
-right-hand-side call.  The step size is PI-controlled (Gustafsson, ACM
-TOMS 17, 1991) with ``beta = 0.04``, which halves the rejected steps.
+accepted steps; its step recorder keeps the solve's one record, a row per
+step, and alone decides which steps hold a zero, stopping at the
+``m_max``-th.  Both Python callbacks work on plain floats (``y.tolist()``):
+NumPy scalar arithmetic cost about 40% of each right-hand-side call.  The
+step size is PI-controlled (Gustafsson, ACM TOMS 17, 1991) with
+``beta = 0.04``, which halves the rejected steps.
 Zeros and critical points are located by root finding on DOP853's
 7th-order interpolant of the one step that brackets each sign change,
 rebuilt after the fact from the step's endpoints and re-evaluated stages
@@ -347,18 +350,17 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
     except OverflowError:  # (2 + alpha)**5 in the series, from alpha ~ 4.6e61 up
         raise SolverError(f"start series leaves the double range (p={p}, alpha={alpha})") from None
 
-    ts: list[float] = []
-    ys: list[list[float]] = []
-    crossings = 0
+    # one record: a (t, u, u_t, Eg, Ep) row per accepted node, and the index
+    # of each step (node k -> k + 1) that holds a sign change of u
+    rows: list[list[float]] = []
+    zero_steps: list[int] = []
 
     def record_step(t: float, y: np.ndarray) -> int:
-        nonlocal crossings
-        state = y.tolist()
-        if ys and _crosses(ys[-1][0], state[0]):
-            crossings += 1
-        ts.append(t)
-        ys.append(state)
-        return -1 if crossings == m_max else 0
+        row = [t, *y.tolist()]
+        if rows and _crosses(rows[-1][1], row[1]):
+            zero_steps.append(len(rows) - 1)
+        rows.append(row)
+        return -1 if len(zero_steps) == m_max else 0
 
     # PI step control at the largest beta dop853.f advises: half the rejected steps
     solver = ode(_make_rhs(p, q)).set_integrator(
@@ -380,15 +382,14 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
             f"step controller failed: {detail or solver.get_return_code()} "
             f"(p={p}, alpha={alpha})")
 
-    t = np.array(ts)
-    y = np.array(ys).T
-    zero_steps = np.flatnonzero(_crosses(y[0, :-1], y[0, 1:]))
     if len(zero_steps) < m_max:
         raise SolverError(
             f"found {len(zero_steps)} of {m_max} zeros before t cap {t_cap:.1f} "
             f"(p={p}, alpha={alpha}); the solution decayed or the cap is too tight"
         )
-    zero_steps = zero_steps[:m_max]
+    # the record ends with the step that holds the last zero
+    nodes = np.array(rows).T
+    t, y = nodes[0], nodes[1:]
     # critical points before the first zero are roundoff artifacts of the
     # flat start; the rest must interlace the zeros, exactly one per gap
     crit_steps = np.flatnonzero(_crosses(y[1, :-1], y[1, 1:]))
@@ -409,9 +410,7 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
         root = brentq(lambda s: state(s)[comp], ta, tb, xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
         return root, state(root)
 
-    zeros = [locate(k, 0) for k in zero_steps]
-    lam = np.array([z[0] for z in zeros])
-    zero_states = np.array([z[1] for z in zeros])
+    lam, zero_states = map(np.array, zip(*(locate(k, 0) for k in zero_steps)))
 
     crits = [locate(k, 1) for k in crit_steps]
     tau_all = np.array([c[0] for c in crits])
@@ -435,10 +434,9 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
             f"(p={p}, alpha={alpha}): {vals}"
         )
 
-    # keep the trajectory up to the last zero, as a terminal event would
-    last = int(zero_steps[-1])
-    nodes = np.column_stack([np.vstack([t, y])[:, : last + 1],
-                             np.concatenate([[lam[-1]], zero_states[-1]])])
+    # end at the last zero, as a terminal event would; a copy keeps the step's end
+    step_end = nodes[:, -1].copy()
+    nodes[0, -1], nodes[1:, -1] = lam[-1], zero_states[-1]
     return WholePlaneSolution(
         p=float(p),
         alpha=float(alpha),
@@ -452,12 +450,12 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
         log_crit=log_crit,
         crit_states=crit_states,
         _energy=nodes[3:],
-        _step_end=np.concatenate([[t[last + 1]], y[:, last + 1]]),
+        _step_end=step_end,
     )
 
 
 #: the process's one solve pool and its worker count (see prefetch_solutions);
-#: a batch holds the lock until its jobs have ended
+#: every batch holds the lock while it solves, pooled or in-process
 _POOL: ProcessPoolExecutor | None = None
 _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
@@ -496,26 +494,25 @@ def _solve_on_pool(keys: list[tuple], workers: int) -> tuple[list[Future] | None
     """
     global _POOL, _POOL_WORKERS
     pool_errors = (OSError, NotImplementedError, BrokenProcessPool)
-    with _POOL_LOCK:
-        try:
-            reused = _POOL is not None and _POOL_WORKERS == workers
-            if not reused:
-                _close_pool()  # first, so no other pool's threads run while workers fork
-                # the workers inherit these instead of each importing them at once
-                import scipy.integrate  # noqa: F401
-                import scipy.optimize  # noqa: F401
+    try:
+        reused = _POOL is not None and _POOL_WORKERS == workers
+        if not reused:
+            _close_pool()  # first, so no other pool's threads run while workers fork
+            # the workers inherit these instead of each importing them at once
+            import scipy.integrate  # noqa: F401
+            import scipy.optimize  # noqa: F401
 
-                _POOL = ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
-                _POOL_WORKERS = workers
-            futures = [_POOL.submit(_solve_impl, *key) for key in keys]
-            wait(futures)
-            failure = next((f.exception() for f in futures if f.exception() is not None), None)
-        except pool_errors as exc:
-            failure = exc
-        if isinstance(failure, pool_errors):
-            _close_pool()
-            return None, ("sequentially (process pool unavailable or broken, "
-                          f"{type(failure).__name__}: {failure})")
+            _POOL = ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+            _POOL_WORKERS = workers
+        futures = [_POOL.submit(_solve_impl, *key) for key in keys]
+        wait(futures)
+        failure = next((f.exception() for f in futures if f.exception() is not None), None)
+    except pool_errors as exc:
+        failure = exc
+    if isinstance(failure, pool_errors):
+        _close_pool()
+        return None, ("sequentially (process pool unavailable or broken, "
+                      f"{type(failure).__name__}: {failure})")
     return futures, f"on the {'reused' if reused else 'newly forked'} pool of {workers} workers"
 
 
@@ -540,6 +537,9 @@ def prefetch_solutions(
     breaks, and shut down at interpreter exit; a worker also exits once
     its parent process has gone.  A batch whose pool cannot be created or
     breaks is solved in-process as a whole; the next batch forks a new pool.
+    Every batch solves and writes the memo under one process-wide lock,
+    pooled or not: a solve swaps the process's warnings filters, which no
+    other thread's solve, nor a fork, may meet.
     Each batch with something to solve logs one DEBUG record on the
     ``nodal`` logger: its job count and whether it reused the pool, forked
     a new one, or ran sequentially, and why.  A batch served wholly from
@@ -556,15 +556,16 @@ def prefetch_solutions(
     if misses:
         if workers is None:
             workers = min(len(misses), os.cpu_count() or 1)
-        futures, how = (_solve_on_pool(misses, workers) if workers > 1
-                        else (None, "sequentially (one worker)"))
-        _LOG.debug("prefetch_solutions: %d jobs %s", len(misses), how)
-        solved = ((_solve_impl(*key) for key in misses) if futures is None
-                  else (future.result() for future in futures))
-        for key, sol in zip(misses, solved):
-            if len(_CACHE) >= _CACHE_MAX:
-                _CACHE.pop(next(iter(_CACHE)))
-            _CACHE[key] = found[key] = sol
+        with _POOL_LOCK:
+            futures, how = (_solve_on_pool(misses, workers) if workers > 1
+                            else (None, "sequentially (one worker)"))
+            _LOG.debug("prefetch_solutions: %d jobs %s", len(misses), how)
+            solved = ((_solve_impl(*key) for key in misses) if futures is None
+                      else (future.result() for future in futures))
+            for key, sol in zip(misses, solved):
+                if len(_CACHE) >= _CACHE_MAX:
+                    _CACHE.pop(next(iter(_CACHE)))
+                _CACHE[key] = found[key] = sol
     return [found[key] for key in keys]
 
 
@@ -635,16 +636,6 @@ class RadialSolution:
     @property
     def energy_pot(self) -> float:
         return float(self._disc(self._state[3], 2, self.p))
-
-    @property
-    def zeros(self) -> np.ndarray:
-        """Zero radii in (0, 1]; may underflow to 0 for extreme p."""
-        return np.exp(self.log_zeros)
-
-    @property
-    def crit(self) -> np.ndarray:
-        """Critical radii, s_0 = 0 included; aligned with crit_values."""
-        return np.concatenate([[0.0], np.exp(self.log_crit)])
 
     @property
     def amplitude_scale(self) -> float:

@@ -700,6 +700,17 @@ def test_out_file_written(tmp_path, capsys):
                 str(tmp_path / "missing" / "t.csv")]) == 1
 
 
+def test_missing_out_directory_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    requested, real_key = [], ro._solve_key
+    monkeypatch.setattr(ro, "_solve_key", lambda *key: requested.append(key) or real_key(*key))
+    target = tmp_path / "missing" / "v.csv"
+    assert run(["verify", "--m", "3", "--bc", "neumann", "--p", "40,80,160",
+                "--out", str(target)]) == 1
+    assert _capture(capsys) == ("", f"nodal: error: [Errno 2] No such file or directory: "
+                                    f"'{target}'\n")
+    assert requested == [] and not target.parent.exists()
+
+
 def test_unwritable_output_is_validation_error(tmp_path, capsys):
     blocked = tmp_path / "dir"
     blocked.mkdir()

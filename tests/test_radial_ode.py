@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -85,13 +86,13 @@ def test_dirichlet_structure():
     assert d1.crit_values[0] == d1.amplitude_scale
     assert d1.crit_values[0] > 1.0
     d3 = ro.dirichlet_solution(w, 3)
-    assert d3.zeros[-1] == 1.0
-    assert d3.crit[0] == 0.0
+    assert d3.log_zeros[-1] == 0.0
+    assert len(d3.log_crit) == len(d3.crit_values) - 1  # s_0 = 0 is implicit
     # signs alternate: u(0) > 0 > u(s_1), u(s_2) > 0
     assert d3.crit_values[0] > 0 > d3.crit_values[1]
     assert d3.crit_values[2] > 0
-    ordering = np.concatenate([[0.0], np.sort(np.concatenate([d3.zeros[:-1], d3.crit[1:]]))])
-    assert np.all(np.diff(ordering) > 0)
+    ordering = np.append(np.column_stack([d3.log_zeros[:-1], d3.log_crit]), 0.0)
+    assert np.all(np.diff(ordering) > 0)  # r_1 < s_1 < r_2 < s_2 < r_3 = 1
     with pytest.raises(ValueError):
         ro.dirichlet_solution(w, 4)
     with pytest.raises(ValueError):
@@ -731,11 +732,11 @@ def test_solver_refuses_a_gap_without_one_critical_point(monkeypatch):
     scans = []
 
     def no_critical_points(a, b):
-        # _solve_impl's second array scan is the one for critical points
+        # _solve_impl's one array scan is the one for critical points
         out = crosses(a, b)
         if np.ndim(out):
             scans.append(out)
-            if len(scans) == 2:
+            if len(scans) == 1:
                 return np.zeros_like(out)
         return out
 
@@ -752,6 +753,57 @@ def test_solver_refuses_critical_values_that_do_not_decay(monkeypatch):
     with pytest.raises(ro.SolverError, match=r"^critical values fail to decay strictly from "
                                              r"u\(0\)=1 \(p=3.0, alpha=0.0\): \[2\.1"):
         ro._solve_impl(3.0, 0.0, 2, 1e-10)
+
+
+def test_solver_refuses_too_few_zeros_before_the_t_cap(monkeypatch):
+    # with M0 = 1 the cap is the bare slack of 25, short of the second zero at p = 60
+    monkeypatch.setattr(ro, "m0_product_formula", lambda n: 1.0)
+    message = ("found 1 of 3 zeros before t cap 25.0 (p=60.0, alpha=0.0); "
+               "the solution decayed or the cap is too tight")
+    with pytest.raises(ro.SolverError, match=f"^{re.escape(message)}$"):
+        ro._solve_impl(60.0, 0.0, 3, 1e-10)
+
+
+def test_concurrent_solves_leave_the_warnings_filters_as_they_were(monkeypatch):
+    # a solve swaps the process's warnings filters; two in-process solves that
+    # run as A enters, B enters, A leaves, B leaves would leave A's filters behind
+    real_rhs = ro._make_rhs
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    p_a, p_b = 57.125, 58.125
+
+    def make_rhs(p, q):
+        rhs, first = real_rhs(p, q), [True]
+
+        def paused(t, y):
+            if first:
+                first.clear()
+                if p == p_a:
+                    a_in.set()
+                    b_in.wait(0.2)  # hold A inside its solve until B has entered
+                else:
+                    b_in.set()
+                    a_out.wait(0.2)  # hold B inside its solve until A has left
+            return rhs(t, y)
+
+        return paused
+
+    monkeypatch.setattr(ro, "_make_rhs", make_rhs)
+    before, solved = list(warnings.filters), {}
+
+    def solve(p, done=None):
+        solved[p] = ro.solve_whole_plane(p, 0.0, 1)
+        if done is not None:
+            done.set()
+
+    thread_a = threading.Thread(target=solve, args=(p_a, a_out))
+    thread_b = threading.Thread(target=solve, args=(p_b,))
+    thread_a.start()
+    assert a_in.wait(30.0)
+    thread_b.start()
+    thread_a.join()
+    thread_b.join()
+    assert sorted(solved) == [p_a, p_b]
+    assert warnings.filters == before
 
 
 @pytest.fixture

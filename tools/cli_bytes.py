@@ -76,6 +76,7 @@ INVOCATIONS = [
     ["verify", "--m", "2", "--alpha", "1", "--bc", "plane", "--p", "40,80", "--out", "v.csv"],
     ["verify", "--m", "2", "--bc", "dirichlet", "--p", "80,40"],
     ["verify", "--m", "2", "--bc", "dirichlet", "--p", "40,80", "--tol", "0"],
+    ["verify", "--m", "2", "--bc", "dirichlet", "--p", "40,80", "--out", "missing/v.csv"],
     # bubble
     ["bubble", "--i", "1", "--alpha", "0", "--rmin", "1", "--rmax", "20", "--n", "100"],
     ["bubble", "--i", "0", "--alpha", "1.5", "--format", "json"],
