@@ -14,17 +14,18 @@ every boundary condition at fixed (p, alpha).  A disc solution is a view
 of that trajectory; its values are scaled to the disc only when read.
 
 The energies are carried as augmented quadrature states.  The
-integration runs in SciPy's compiled DOP853, which hands back only the
-accepted steps; its step recorder keeps the solve's one record, a row per
-step, and alone decides which steps hold a zero, stopping at the
-``m_max``-th.  Both Python callbacks work on plain floats (``y.tolist()``):
-NumPy scalar arithmetic cost about 40% of each right-hand-side call.  The
-step size is PI-controlled (Gustafsson, ACM TOMS 17, 1991) with
-``beta = 0.04``, which halves the rejected steps.
-Zeros and critical points are located by root finding on DOP853's
-7th-order interpolant of the one step that brackets each sign change,
-rebuilt after the fact from the step's endpoints and re-evaluated stages
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  The same rebuild
+integration runs in the package's DOP853 stepper (``nodal._dop853``), on
+plain floats (NumPy scalar arithmetic cost about 40% of each
+right-hand-side call), and takes the same steps as SciPy's
+``ode('dop853')`` bit for bit.  It keeps the solve's one record, a row per
+accepted step, and alone decides which steps hold a zero, stopping at the
+``m_max``-th.  The step size is PI-controlled (Gustafsson, ACM TOMS 17,
+1991) with ``beta = 0.04``, which halves the rejected steps.
+Zeros and critical points are located by Brent's method (``_brentq``, the
+same doubles as SciPy's ``brentq``) on DOP853's 7th-order interpolant of
+the one step that brackets each sign change, rebuilt after the fact from
+the step's endpoints and re-evaluated stages (Hairer, Norsett & Wanner,
+*Solving ODEs I*, II.6).  The same rebuild
 over every step gives the dense output: built on first use, never
 pickled, evaluated on one vectorized path, on which the shell flux
 integral is the package's tanh-sinh rule (``bubbles._tanh_sinh``), one
@@ -38,11 +39,9 @@ worker, reused by later batches, replaced when a batch asks for another
 worker count or when the pool breaks, and shut down at interpreter exit
 (a worker whose parent process has gone exits too).
 
-SciPy is imported only where it runs: ``ode`` and ``brentq`` in
-:func:`_solve_impl`, DOP853's tableau in ``_step_coeffs``.  Importing this
-module loads no SciPy, so the p -> infinity commands never pay for it.  A
-parent loads the solver's SciPy modules before it forks a pool, so the
-workers inherit them instead of each importing them at the same time.
+No process loads SciPy.  The stepper's module is imported only where the
+solver runs, in ``_solve_impl`` and ``_step_coeffs``: compiling it took
+about 4 ms, which the p -> infinity commands need not pay.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import math
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -85,10 +83,12 @@ _START_COEFF = 1e-12
 #: on-trajectory combined exponents stay below ~30; clamp trial steps here
 _EXP_CAP = 100.0
 
-#: step limit (NMAX) handed to DOP853; a run past it is a SolverError
+#: step limit (NMAX) of the DOP853 stepper; a run past it is a SolverError
+#: whose message keeps DOP853's "larger nsteps is needed"
 _MAX_STEPS = 1_000_000
 
-#: event-localization tolerance, as in scipy.integrate.solve_ivp
+#: event-localization tolerance of ``_brentq`` (absolute and relative), as in
+#: scipy.integrate.solve_ivp
 _EVENT_XTOL = 4.0 * np.finfo(float).eps
 
 _LOG = logging.getLogger("nodal")
@@ -197,15 +197,17 @@ def _series_state(p: float, alpha: float, t: np.ndarray) -> np.ndarray:
 
 
 def _make_rhs(p: float, q: float):
-    """DOP853's right-hand side on plain floats.  The branch clamps an
-    exponent at ``_EXP_CAP`` to the same double as ``min(ex, _EXP_CAP)``."""
+    """DOP853's right-hand side on plain floats; it reads only ``y[0]`` = u
+    and ``y[1]`` = u_t.  The branch clamps an exponent at ``_EXP_CAP`` to
+    the same double as ``min(ex, _EXP_CAP)``."""
     log = math.log
     exp = math.exp
     copysign = math.copysign
     exp_cap = exp(_EXP_CAP)
 
-    def rhs(t: float, y: np.ndarray) -> tuple:
-        u, v, _, _ = y.tolist()
+    def rhs(t: float, y) -> tuple:
+        u = y[0]
+        v = y[1]
         au = abs(u)
         if au < 1e-300:
             return (v, 0.0, v * v, 0.0)
@@ -242,24 +244,21 @@ def _step_coeffs(p: float, q: float, t0: np.ndarray, y0: np.ndarray,
     Returns F with shape (n, 7, 4): step k's interpolant at the step
     fraction x is ``y0[k] + _basis(x) @ F[k]``.
     """
-    from scipy.integrate import DOP853
+    from . import _dop853
 
     h = t1 - t0
+    last = _dop853.N_STAGES  # the next step's first stage: the RHS at the step's end
     k = np.empty((16, 4, len(h)))
     k[0] = _rhs_array(p, q, t0, y0)
-    for s in range(1, DOP853.n_stages):
-        k[s] = _rhs_array(p, q, t0 + DOP853.C[s] * h,
-                          y0 + h * np.tensordot(DOP853.A[s, :s], k[:s], axes=1))
-    k[DOP853.n_stages] = _rhs_array(p, q, t1, y1)
-    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
-                               start=DOP853.n_stages + 1):
-        k[s] = _rhs_array(p, q, t0 + c * h, y0 + h * np.tensordot(a[:s], k[:s], axes=1))
+    for s in range(1, 16):
+        k[s] = (_rhs_array(p, q, t1, y1) if s == last else _rhs_array(
+            p, q, t0 + _dop853.C[s] * h, y0 + h * np.tensordot(_dop853.A[s, :s], k[:s], axes=1)))
     dy = y1 - y0
     f = np.empty((7, 4, len(h)))
     f[0] = dy
     f[1] = h * k[0] - dy
-    f[2] = 2.0 * dy - h * (k[DOP853.n_stages] + k[0])
-    f[3:] = h * np.tensordot(DOP853.D, k, axes=1)
+    f[2] = 2.0 * dy - h * (k[last] + k[0])
+    f[3:] = h * np.tensordot(_dop853.D, k, axes=1)
     return np.moveaxis(f, 2, 0)
 
 
@@ -336,9 +335,51 @@ def _crosses(a, b):
     return ((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0))
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f between xa and xb, where f changes sign, by Brent's method
+    (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4):
+    inverse quadratic or secant steps kept inside a shrinking bracket, else
+    bisection.  Step for step SciPy's ``brentq``, so it returns the same double."""
+    xpre, xcur, xblk, fblk, spre, scur = xa, xb, 0.0, 0.0, 0.0, 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise SolverError(f"root finding: no sign change on [{xa!r}, {xb!r}]")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise SolverError(f"root finding did not converge in 100 iterations (at {xcur!r})")
+
+
 def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSolution:
-    from scipy.integrate import ode
-    from scipy.optimize import brentq
+    from . import _dop853
 
     q = 2.0 + alpha
     # predicted location of the last zero, with 20% margin plus slack for small p
@@ -352,35 +393,13 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
 
     # one record: a (t, u, u_t, Eg, Ep) row per accepted node, and the index
     # of each step (node k -> k + 1) that holds a sign change of u
-    rows: list[list[float]] = []
-    zero_steps: list[int] = []
-
-    def record_step(t: float, y: np.ndarray) -> int:
-        row = [t, *y.tolist()]
-        if rows and _crosses(rows[-1][1], row[1]):
-            zero_steps.append(len(rows) - 1)
-        rows.append(row)
-        return -1 if len(zero_steps) == m_max else 0
-
-    # PI step control at the largest beta dop853.f advises: half the rejected steps
-    solver = ode(_make_rhs(p, q)).set_integrator(
-        "dop853", rtol=max(tol * 1e-2, 1e-13), atol=tol * 1e-4, nsteps=_MAX_STEPS, beta=0.04)
-    solver.set_solout(record_step)
-    solver.set_initial_value(y0, t0)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            solver.integrate(t_cap)
-    finally:
-        # SciPy's DOP853 wrapper keeps a reference to every solout callback
-        # it is handed (about 90 kB per solve with the recorded steps), so
-        # detach the recorder; what stays behind is about 2 kB per solve
-        solver.set_solout(None)
-    if solver.get_return_code() < 0:
-        detail = "; ".join(str(w.message) for w in caught)
+        rows, zero_steps, _ = _dop853.solve_to_zeros(
+            _make_rhs(p, q), t0, y0.tolist(), t_cap, max(tol * 1e-2, 1e-13), tol * 1e-4,
+            _MAX_STEPS, m_max)
+    except _dop853.StepFailure as exc:
         raise SolverError(
-            f"step controller failed: {detail or solver.get_return_code()} "
-            f"(p={p}, alpha={alpha})")
+            f"step controller failed: dop853: {exc} (p={p}, alpha={alpha})") from None
 
     if len(zero_steps) < m_max:
         raise SolverError(
@@ -407,7 +426,7 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
         def state(s: float) -> np.ndarray:
             return y[:, k] + np.dot(_basis((s - ta) / (tb - ta)), f)
 
-        root = brentq(lambda s: state(s)[comp], ta, tb, xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
+        root = _brentq(lambda s: state(s)[comp], ta, tb, _EVENT_XTOL, _EVENT_XTOL)
         return root, state(root)
 
     lam, zero_states = map(np.array, zip(*(locate(k, 0) for k in zero_steps)))
@@ -498,10 +517,6 @@ def _solve_on_pool(keys: list[tuple], workers: int) -> tuple[list[Future] | None
         reused = _POOL is not None and _POOL_WORKERS == workers
         if not reused:
             _close_pool()  # first, so no other pool's threads run while workers fork
-            # the workers inherit these instead of each importing them at once
-            import scipy.integrate  # noqa: F401
-            import scipy.optimize  # noqa: F401
-
             _POOL = ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
             _POOL_WORKERS = workers
         futures = [_POOL.submit(_solve_impl, *key) for key in keys]
@@ -538,8 +553,7 @@ def prefetch_solutions(
     its parent process has gone.  A batch whose pool cannot be created or
     breaks is solved in-process as a whole; the next batch forks a new pool.
     Every batch solves and writes the memo under one process-wide lock,
-    pooled or not: a solve swaps the process's warnings filters, which no
-    other thread's solve, nor a fork, may meet.
+    pooled or not, so no two batches replace the pool or write the memo at once.
     Each batch with something to solve logs one DEBUG record on the
     ``nodal`` logger: its job count and whether it reused the pool, forked
     a new one, or ran sequentially, and why.  A batch served wholly from

@@ -640,20 +640,49 @@ def test_module_entry_point_runs_cli(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
 
 
+def _modules_loaded_by(argv, first_on_path=None):
+    """Every module a fresh ``nodal`` process running ``argv`` imports, pool
+    workers included: -X importtime lists each import on stderr, and forked
+    workers inherit the flag and the stream.  ``first_on_path`` goes ahead
+    of the sources on ``PYTHONPATH``."""
+    path = [first_on_path, str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "nodal.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
 @pytest.mark.parametrize("argv", [["constants", "--m", "25"],
                                   ["bounds", "--kmax", "50", "--mmax", "10"],
                                   ["bubble", "--i", "3", "--alpha", "1"]], ids=lambda a: a[0])
 def test_limit_commands_load_no_scipy(argv):
     # the p -> infinity commands never run the solver, so a fresh process of
-    # each loads no scipy module; -X importtime lists every module it loads
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "nodal.cli", *argv],
-                          capture_output=True, text=True, env=env, check=False)
-    assert proc.returncode == 0, proc.stderr
-    loaded = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-              if line.startswith("import time:")]
+    # each loads no scipy module, nor the solver's stepper
+    loaded = _modules_loaded_by(argv)
     assert {"numpy", "nodal.radial_ode", "nodal.verify"} <= set(loaded)
+    assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
+    assert "nodal._dop853" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "200", "--m", "2", "--bc", "dirichlet"],
+    ["verify", "--m", "2", "--bc", "dirichlet", "--p", "40,80"],  # two solves: pooled
+    ["sweep", "--config", "{cfg}", "--out", "{out}"],
+], ids=lambda a: a[0])
+def test_solver_commands_load_no_scipy(argv, tmp_path):
+    # the solver's stepper and root finder are in-repo, so the commands that
+    # solve load no scipy module either, in the parent or in a pool worker;
+    # they run with SciPy hidden behind a package whose import fails
+    hidden = tmp_path / "hidden" / "scipy"
+    hidden.mkdir(parents=True)
+    (hidden / "__init__.py").write_text("raise ImportError('scipy is hidden')\n")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("p = 30,60\nm = 2\nalpha = 0\nbc = dirichlet\n", encoding="utf-8")
+    loaded = _modules_loaded_by([a.format(cfg=cfg, out=tmp_path / "out") for a in argv],
+                                str(hidden.parent))
+    assert {"numpy", "nodal._dop853", "nodal.radial_ode"} <= set(loaded)
     assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
 
 

@@ -727,6 +727,30 @@ def test_step_limit_raises_solver_error(monkeypatch):
             ro.solve_whole_plane(77.5, 0.0, 2)
 
 
+def test_nan_right_hand_side_fails_within_bounded_steps(monkeypatch, capsys):
+    # a right-hand side that turns NaN fails every trial step's error test; each
+    # rejection cuts the step to 0.3 h, so after a bounded number of trials the
+    # step falls below the roundoff of t: a SolverError, and exit 2 from the CLI
+    real, calls = ro._make_rhs, []
+
+    def make_rhs(p, q):
+        rhs = real(p, q)
+
+        def nan_past_one(t, y):
+            calls.append(t)
+            return (math.nan,) * 4 if t > 1.0 else rhs(t, y)
+
+        return nan_past_one
+
+    monkeypatch.setattr(ro, "_make_rhs", make_rhs)
+    message = "step controller failed: dop853: step size becomes too small (p=77.375, alpha=0.0)"
+    with pytest.raises(ro.SolverError, match=f"^{re.escape(message)}$"):
+        ro._solve_impl(77.375, 0.0, 2, 1e-10)
+    assert 0 < len(calls) < 2500 and max(calls) > 1.0
+    assert cli.run(["solve", "--p", "77.375", "--m", "2", "--bc", "dirichlet"]) == 2
+    assert capsys.readouterr().err == f"nodal: numerical failure: {message}\n"
+
+
 def test_solver_refuses_a_gap_without_one_critical_point(monkeypatch):
     crosses = ro._crosses
     scans = []
@@ -1035,19 +1059,32 @@ def test_pool_workers_exit_when_their_parent_is_killed(tmp_path):
 
 
 _FORKED_BATCH_SCRIPT = """
-import logging, pickle, sys
+import logging, os, pickle, sys, time
 from nodal import radial_ode as ro
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+def worker_modules():
+    time.sleep(0.2)  # hold this worker, so that the other one takes the next job
+    return os.getpid(), scipy_modules()
+
 records = []
 handler = logging.Handler(logging.DEBUG)
 handler.emit = lambda record: records.append(record.getMessage())
 logging.getLogger("nodal").addHandler(handler)
 logging.getLogger("nodal").setLevel(logging.DEBUG)
 keys = [(60.5, 0.0, 2), (61.5, 1.0, 2), (62.5, 0.0, 3)]
-before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+before = scipy_modules()
 sols = ro.prefetch_solutions(keys, workers=2)
-after = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+after = scipy_modules()
+pids, workers = set(ro._POOL._processes), {}
+for _ in range(5):  # until both workers have answered
+    workers.update(f.result() for f in [ro._POOL.submit(worker_modules) for _ in pids])
+    if set(workers) == pids:
+        break
 with open(sys.argv[1], "wb") as fh:
-    pickle.dump((before, after, records, keys, sols), fh)
+    pickle.dump((before, after, pids, workers, records, keys, sols), fh)
 """
 
 
@@ -1061,12 +1098,12 @@ def test_forked_workers_inherit_the_solver_modules(tmp_path):
                               stdout=fh, stderr=fh, env=env, timeout=120, check=False)
     assert proc.returncode == 0, log.read_text()
     with open(result, "rb") as fh:  # written by the script above
-        before, after, records, keys, sols = pickle.load(fh)
-    # nothing loaded SciPy before the batch, and the batch solved nothing in-process,
-    # yet the parent holds the solver's modules: it loaded them before forking
-    assert before == []
+        before, after, pids, workers, records, keys, sols = pickle.load(fh)
+    # the batch ran on a forked pool, and neither the parent nor either worker
+    # loaded any scipy module
     assert records == ["prefetch_solutions: 3 jobs on the newly forked pool of 2 workers"]
-    assert after == ["scipy.integrate", "scipy.optimize"]
+    assert before == [] and after == []
+    assert len(pids) == 2 and workers == dict.fromkeys(pids, [])
     for key, sol in zip(keys, sols):
         _assert_same_solution(sol, ro._solve_impl(*key, ro.default_tolerance()))
 

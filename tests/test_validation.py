@@ -156,23 +156,14 @@ def test_counts_and_exponents_have_one_rule_each():
     assert _hand_written_checks() == []
 
 
-#: the p -> infinity half of the package, which runs without SciPy
-_SCIPY_FREE = {"bubbles.py", "constants.py", "specfun.py"}
-
-
 def _imports(path: Path):
-    """``(node, modules, at_import)`` of each import statement in ``path``:
-    the modules it names, and whether it runs when the module is imported,
-    that is, outside every function body."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    in_functions = {id(node) for func in ast.walk(tree)
-                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    for node in ast.walk(func) if node is not func}
-    for node in ast.walk(tree):
+    """``(node, modules)`` of each import statement in ``path``, at module
+    level or inside a function: the modules it names."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            yield node, [alias.name for alias in node.names], id(node) not in in_functions
+            yield node, [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            yield node, [node.module or ""], id(node) not in in_functions
+            yield node, [node.module or ""]
 
 
 def _is_scipy(module: str) -> bool:
@@ -181,34 +172,28 @@ def _is_scipy(module: str) -> bool:
 
 def _scipy_quadratures() -> list[tuple[str, int, str]]:
     """``(file, line, module)`` of each import in the package that brings in a
-    SciPy quadrature routine, or any ``scipy`` module into ``_SCIPY_FREE``;
-    ``bubbles._tanh_sinh`` is the package's one quadrature rule."""
-    found = []
-    for path in sorted(_SRC.glob("*.py")):
-        for node, modules, _ in _imports(path):
+    SciPy quadrature routine; ``bubbles._tanh_sinh`` is the package's one
+    quadrature rule."""
+    return [(path.name, node.lineno, modules[0]) for path in sorted(_SRC.glob("*.py"))
+            for node, modules in _imports(path)
             if isinstance(node, ast.ImportFrom) and modules[0] == "scipy.integrate" and any(
-                    alias.name in {"quad", "quad_vec", "tanhsinh"} for alias in node.names):
-                found.append((path.name, node.lineno, modules[0]))
-            if path.name in _SCIPY_FREE:
-                found += [(path.name, node.lineno, m) for m in modules if _is_scipy(m)]
-    return found
+                alias.name in {"quad", "quad_vec", "tanhsinh"} for alias in node.names)]
 
 
 def test_one_quadrature_rule():
     assert _scipy_quadratures() == []
 
 
-def _module_level_scipy_imports() -> list[tuple[str, int, str]]:
-    """``(file, line, module)`` of each ``scipy`` import in the package that
-    runs when its module is imported; SciPy is imported only inside the
-    functions that run the solver, so ``import nodal`` loads none of it."""
+def _scipy_imports() -> list[tuple[str, int, str]]:
+    """``(file, line, module)`` of each ``scipy`` import anywhere in the
+    package, at module level or inside a function: the solver's stepper and
+    root finder are in-repo, so no process that runs ``nodal`` loads SciPy."""
     return [(path.name, node.lineno, m) for path in sorted(_SRC.glob("*.py"))
-            for node, modules, at_import in _imports(path) if at_import
-            for m in modules if _is_scipy(m)]
+            for node, modules in _imports(path) for m in modules if _is_scipy(m)]
 
 
 def test_no_module_level_scipy_import():
-    assert _module_level_scipy_imports() == []
+    assert _scipy_imports() == []
 
 
 def _theta_steps_outside_thetas() -> list[tuple[str, int]]:
