@@ -1,4 +1,5 @@
-"""DOP853 for the radial solver: the tableau, and a plain-float stepper.
+"""DOP853 for the radial solver: the tableau, a plain-float stepper that
+notes every event, and the dense output.
 
 The explicit Runge-Kutta pair of order 8(5,3) by Dormand and Prince, with
 step-size control and stiffness detection as in Hairer's ``dop853.f``
@@ -13,10 +14,12 @@ The stepper is specialized to the radial system ``(u, u_t, Eg, Ep)``: the
 right-hand side reads only ``(u, u_t)``, the energies being quadratures,
 so the stages form only those two inputs.  It is written out stage by
 stage on Python floats; a loop over the tableau costs 1.4-1.9 times as
-much per step.
+much per step.  It alone decides which steps hold a zero of u or of u_t.
 
-The tableau below is the one source of DOP853's coefficients; the dense
-output (``radial_ode._step_coeffs``) reads it too.
+:class:`DenseOutput` rebuilds DOP853's 7th-order interpolant of accepted
+steps after the fact, from their endpoints and re-evaluated stages.  The
+tableau below is the one source of DOP853's coefficients, and nothing
+outside this module reads it.
 """
 
 from __future__ import annotations
@@ -146,17 +149,21 @@ class StepFailure(RuntimeError):
 
 
 def solve_to_zeros(rhs, t: float, y: list[float], t_end: float, rtol: float, atol: float,
-                   nmax: int, n_zeros: int) -> tuple[list[list[float]], list[int], tuple]:
+                   nmax: int, n_zeros: int
+                   ) -> tuple[list[list[float]], list[int], list[int], tuple]:
     """Integrate ``y = (u, u_t, Eg, Ep)`` from t towards ``t_end > t`` until
     u has changed sign ``n_zeros`` times.
 
     ``rhs(t, (u, u_t))`` returns the four derivatives.  Returns the record:
-    a ``[t, u, u_t, Eg, Ep]`` row at t and at every accepted step; the index
-    k of each step (row k -> k + 1) over which u changes sign, touching zero
-    included; and the counters (nfcn, nstep, naccpt, nrejct).  The record
-    stops at the step holding the ``n_zeros``-th sign change, or at
-    ``t_end``.  Raises StepFailure past ``nmax`` steps, when the step size
-    falls below the roundoff of t, or when the problem turns stiff.
+    a ``[t, u, u_t, Eg, Ep]`` row at t and at every accepted step; the
+    zero steps, the index k of each step (row k -> k + 1) over which u
+    changes sign, touching zero included; the critical steps, those over
+    which u_t changes sign by the same rule, from the first zero step on
+    (before it a sign change of u_t is roundoff on the flat start); and the
+    counters (nfcn, nstep, naccpt, nrejct).  The record stops at the step
+    holding the ``n_zeros``-th sign change, or at ``t_end``.  Raises
+    StepFailure past ``nmax`` steps, when the step size is 0 or falls below
+    the roundoff of t, or when the problem turns stiff.
     """
     a21 = float(A[1, 0])
     a31, a32 = A[2, :2].tolist()
@@ -192,6 +199,8 @@ def solve_to_zeros(rhs, t: float, y: list[float], t_end: float, rtol: float, ato
     # hmax if h is NaN, as C's fmin gives: a NaN right-hand side still gets a
     # finite first step, and the step size falls until it is too small
     h = min(hmax, h)
+    if h == 0.0:  # |y'| overflowed; h = 0 fails the first step's step-size test
+        raise StepFailure("step size becomes too small")
     f2u, f2v, f2g, f2p = rhs(t + h, (u + h * k1u, v + h * k1v))
     fu, fv, fg, fp = (f2u - k1u) / sku, (f2v - k1v) / skv, (f2g - k1g) / skg, (f2p - k1p) / skp
     der2 = sqrt(fu * fu + fv * fv + fg * fg + fp * fp) / h
@@ -205,6 +214,7 @@ def solve_to_zeros(rhs, t: float, y: list[float], t_end: float, rtol: float, ato
     hlamb = 0.0
     rows = [[t, u, v, eg, ep]]
     zero_steps: list[int] = []
+    crit_steps: list[int] = []
     while True:
         if nstep > nmax:
             raise StepFailure("larger nsteps is needed")
@@ -315,13 +325,14 @@ def solve_to_zeros(rhs, t: float, y: list[float], t_end: float, rtol: float, ato
                     if nonsti == 6:
                         iasti = 0
             k1u, k1v, k1g, k1p = f1u, f1v, f1g, f1p
-            crossed = u <= 0.0 <= nu or nu <= 0.0 <= u
+            if u <= 0.0 <= nu or nu <= 0.0 <= u:
+                zero_steps.append(naccpt - 1)
+            if zero_steps and (v <= 0.0 <= nv or nv <= 0.0 <= v):
+                crit_steps.append(naccpt - 1)
             t, u, v, eg, ep = tph, nu, nv, ng, np_
             rows.append([t, u, v, eg, ep])
-            if crossed:
-                zero_steps.append(naccpt - 1)
-                if len(zero_steps) == n_zeros:
-                    break
+            if len(zero_steps) == n_zeros:
+                break
             if last:
                 break
             if abs(hnew) > hmax:
@@ -338,4 +349,57 @@ def solve_to_zeros(rhs, t: float, y: list[float], t_end: float, rtol: float, ato
                 nrejct += 1
             last = False
         h = hnew
-    return rows, zero_steps, (nfcn, nstep, naccpt, nrejct)
+    return rows, zero_steps, crit_steps, (nfcn, nstep, naccpt, nrejct)
+
+
+def _basis(x):
+    """DOP853's interpolation basis x, x(1-x), x^2(1-x), ..., x^4(1-x)^3.
+
+    DOP853 evaluates its interpolant in the nested form
+    ``x(F0 + (1-x)(F1 + x(F2 + ...)))``; this is the same sum multiplied
+    out.  x is a float or an array; returns a list of seven of the same.
+    """
+    out = [x]
+    for j in range(1, 7):
+        out.append(out[-1] * (1.0 - x if j % 2 else x))
+    return out
+
+
+class DenseOutput:
+    """DOP853's 7th-order interpolant of the accepted steps t0[i] -> t1[i].
+
+    The twelve stages of each step are re-evaluated from its start point,
+    then the three extra interpolation stages, exactly as DOP853 does when
+    it forms its continuous output.  ``rhs(t, y)`` is the right-hand side
+    at many points, t (n,) and y (4, n): every step goes through it at
+    once.  The steps are in increasing order and need not be adjacent.
+    """
+
+    def __init__(self, rhs, t0: np.ndarray, y0: np.ndarray, t1: np.ndarray,
+                 y1: np.ndarray) -> None:
+        h = t1 - t0
+        k = np.empty((16, 4, len(h)))
+        k[0] = rhs(t0, y0)
+        for s in range(1, 16):  # stage 13, the next step's first, is the RHS at the end
+            k[s] = (rhs(t1, y1) if s == N_STAGES else
+                    rhs(t0 + C[s] * h, y0 + h * np.tensordot(A[s, :s], k[:s], axes=1)))
+        dy = y1 - y0
+        f = np.empty((7, 4, len(h)))
+        f[0] = dy
+        f[1] = h * k[0] - dy
+        f[2] = 2.0 * dy - h * (k[N_STAGES] + k[0])
+        f[3:] = h * np.tensordot(D, k, axes=1)
+        # step i's interpolant at the step fraction x is y0[i] + _basis(x) @ f[i]
+        self.t0, self.t1, self.y0, self.f = t0, t1, y0.T, np.moveaxis(f, 2, 0)
+
+    def state(self, i: int, t: float) -> np.ndarray:
+        """The state (4,) at one log-radius t inside step i."""
+        ta, tb = self.t0[i], self.t1[i]
+        return self.y0[i] + np.dot(_basis((t - ta) / (tb - ta)), self.f[i])
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """States, shape (4, n), at the log-radii t (n,), each on the last
+        step that starts at or before it (the first step before them all)."""
+        i = np.clip(np.searchsorted(self.t0, t, side="right") - 1, 0, len(self.t0) - 1)
+        x = ((t - self.t0[i]) / (self.t1[i] - self.t0[i]))[:, None, None]
+        return (self.y0[i] + (np.concatenate(_basis(x), axis=2) @ self.f[i])[:, 0]).T

@@ -13,21 +13,18 @@ rescalings of the same whole-plane trajectory, so one integration serves
 every boundary condition at fixed (p, alpha).  A disc solution is a view
 of that trajectory; its values are scaled to the disc only when read.
 
-The energies are carried as augmented quadrature states.  The
-integration runs in the package's DOP853 stepper (``nodal._dop853``), on
-plain floats (NumPy scalar arithmetic cost about 40% of each
-right-hand-side call), and takes the same steps as SciPy's
-``ode('dop853')`` bit for bit.  It keeps the solve's one record, a row per
-accepted step, and alone decides which steps hold a zero, stopping at the
-``m_max``-th.  The step size is PI-controlled (Gustafsson, ACM TOMS 17,
-1991) with ``beta = 0.04``, which halves the rejected steps.
+The energies are carried as augmented quadrature states.  All of DOP853
+lives in ``nodal._dop853``: its stepper runs on plain floats (NumPy scalar
+arithmetic cost about 40% of each right-hand-side call) and takes the same
+steps as SciPy's ``ode('dop853')`` bit for bit, PI-controlled (Gustafsson,
+ACM TOMS 17, 1991) with ``beta = 0.04``, which halves the rejected steps.
+It keeps the solve's one record, a row per accepted step, and alone decides
+which steps hold a zero of u or of u_t, stopping at the ``m_max``-th zero.
 Zeros and critical points are located by Brent's method (``_brentq``, the
-same doubles as SciPy's ``brentq``) on DOP853's 7th-order interpolant of
-the one step that brackets each sign change, rebuilt after the fact from
-the step's endpoints and re-evaluated stages (Hairer, Norsett & Wanner,
-*Solving ODEs I*, II.6).  The same rebuild
-over every step gives the dense output: built on first use, never
-pickled, evaluated on one vectorized path, on which the shell flux
+same doubles as SciPy's ``brentq``) on DOP853's 7th-order interpolant
+(``_dop853.DenseOutput``), rebuilt over the bracketing steps only.  The
+same rebuild over every step gives the dense output: built on first use,
+never pickled, evaluated on one vectorized path, on which the shell flux
 integral is the package's tanh-sinh rule (``bubbles._tanh_sinh``), one
 dense evaluation per level from level 5 on.
 
@@ -39,9 +36,9 @@ worker, reused by later batches, replaced when a batch asks for another
 worker count or when the pool breaks, and shut down at interpreter exit
 (a worker whose parent process has gone exits too).
 
-No process loads SciPy.  The stepper's module is imported only where the
-solver runs, in ``_solve_impl`` and ``_step_coeffs``: compiling it took
-about 4 ms, which the p -> infinity commands need not pay.
+No process loads SciPy.  ``_dop853`` is imported only where the solver
+runs, in ``_solve_impl`` and ``WholePlaneSolution.eval_state``: compiling
+it took about 4 ms, which the p -> infinity commands need not pay.
 """
 
 from __future__ import annotations
@@ -54,11 +51,16 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bubbles import QuadratureError, _tanh_sinh
 from .constants import _check_alpha, _check_count, _check_p, _check_tol, m0_product_formula
+
+if TYPE_CHECKING:
+    from . import _dop853
 
 __all__ = [
     "SolverError",
@@ -133,7 +135,7 @@ class WholePlaneSolution:
     #: (t, u, u_t, Eg, Ep) at the end of the accepted step holding the last
     #: zero; that step's interpolant also covers the truncated final segment
     _step_end: np.ndarray = field(repr=False, compare=False)
-    _dense: _DenseOutput | None = field(default=None, repr=False, compare=False)
+    _dense: _dop853.DenseOutput | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for arr in (self.t, self.u, self.ut, self.log_zeros, self.zero_states,
@@ -166,9 +168,13 @@ class WholePlaneSolution:
             why = "is NaN" if np.any(np.isnan(t_arr)) else "beyond the integrated range"
             raise ValueError(f"eval_state: log-radius {why}")
         if self._dense is None:
+            from . import _dop853
+
             nodes = np.vstack([self.t, self.u, self.ut, self._energy])
             nodes[:, -1] = self._step_end
-            object.__setattr__(self, "_dense", _DenseOutput(self.p, self.alpha, nodes))
+            t, y = nodes[0], nodes[1:]
+            object.__setattr__(self, "_dense", _dop853.DenseOutput(
+                partial(_rhs_array, self.p, 2.0 + self.alpha), t[:-1], y[:, :-1], t[1:], y[:, 1:]))
         flat = t_arr.ravel()
         out = np.empty((4, flat.size))
         early = flat < self.t_start
@@ -234,64 +240,6 @@ def _rhs_array(p: float, q: float, t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([v, -f, v * v, g])
 
 
-def _step_coeffs(p: float, q: float, t0: np.ndarray, y0: np.ndarray,
-                 t1: np.ndarray, y1: np.ndarray) -> np.ndarray:
-    """DOP853 dense-output coefficients of the accepted steps t0 -> t1.
-
-    The twelve stages of each step are re-evaluated from its start point,
-    then the three extra interpolation stages, exactly as DOP853 does when
-    it forms its continuous output; all steps go through the RHS at once.
-    Returns F with shape (n, 7, 4): step k's interpolant at the step
-    fraction x is ``y0[k] + _basis(x) @ F[k]``.
-    """
-    from . import _dop853
-
-    h = t1 - t0
-    last = _dop853.N_STAGES  # the next step's first stage: the RHS at the step's end
-    k = np.empty((16, 4, len(h)))
-    k[0] = _rhs_array(p, q, t0, y0)
-    for s in range(1, 16):
-        k[s] = (_rhs_array(p, q, t1, y1) if s == last else _rhs_array(
-            p, q, t0 + _dop853.C[s] * h, y0 + h * np.tensordot(_dop853.A[s, :s], k[:s], axes=1)))
-    dy = y1 - y0
-    f = np.empty((7, 4, len(h)))
-    f[0] = dy
-    f[1] = h * k[0] - dy
-    f[2] = 2.0 * dy - h * (k[last] + k[0])
-    f[3:] = h * np.tensordot(_dop853.D, k, axes=1)
-    return np.moveaxis(f, 2, 0)
-
-
-def _basis(x):
-    """DOP853's interpolation basis x, x(1-x), x^2(1-x), ..., x^4(1-x)^3.
-
-    DOP853 evaluates its interpolant in the nested form
-    ``x(F0 + (1-x)(F1 + x(F2 + ...)))``; this is the same sum multiplied
-    out.  x is a float or an array; returns a list of seven of the same.
-    """
-    out = [x]
-    for j in range(1, 7):
-        out.append(out[-1] * (1.0 - x if j % 2 else x))
-    return out
-
-
-class _DenseOutput:
-    """Piecewise DOP853 interpolant over every accepted step."""
-
-    def __init__(self, p: float, alpha: float, nodes: np.ndarray) -> None:
-        # nodes: (t, u, u_t, Eg, Ep) rows at the accepted steps
-        t, y = nodes[0], nodes[1:]
-        self.t = t
-        self.y0 = y[:, :-1].T
-        self.f = _step_coeffs(p, 2.0 + alpha, t[:-1], y[:, :-1], t[1:], y[:, 1:])
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """States, shape (4, n), at the log-radii t."""
-        k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
-        x = ((t - self.t[k]) / (self.t[k + 1] - self.t[k]))[:, None, None]
-        return (self.y0[k] + (np.concatenate(_basis(x), axis=2) @ self.f[k])[:, 0]).T
-
-
 def _solve_key(p: float, alpha: float, m_max: int, tol: float) -> tuple:
     """Validated memo key (p, alpha, m_max, tol) of one whole-plane solve."""
     _check_p("solve_whole_plane", p)
@@ -326,13 +274,6 @@ def solve_whole_plane(
         before the t cap, or the zero/critical interlacing is violated.
     """
     return prefetch_solutions([(p, alpha, m_max)], tol)[0]
-
-
-def _crosses(a, b):
-    """Sign change from a to b, touching zero included (solve_ivp's rule).
-
-    Elementwise on arrays; on plain floats it gives a ``bool``."""
-    return ((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0))
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -392,9 +333,9 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
         raise SolverError(f"start series leaves the double range (p={p}, alpha={alpha})") from None
 
     # one record: a (t, u, u_t, Eg, Ep) row per accepted node, and the index
-    # of each step (node k -> k + 1) that holds a sign change of u
+    # of each step (node k -> k + 1) that holds a sign change of u or of u_t
     try:
-        rows, zero_steps, _ = _dop853.solve_to_zeros(
+        rows, zero_steps, crit_steps, _ = _dop853.solve_to_zeros(
             _make_rhs(p, q), t0, y0.tolist(), t_cap, max(tol * 1e-2, 1e-13), tol * 1e-4,
             _MAX_STEPS, m_max)
     except _dop853.StepFailure as exc:
@@ -409,25 +350,18 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
     # the record ends with the step that holds the last zero
     nodes = np.array(rows).T
     t, y = nodes[0], nodes[1:]
-    # critical points before the first zero are roundoff artifacts of the
-    # flat start; the rest must interlace the zeros, exactly one per gap
-    crit_steps = np.flatnonzero(_crosses(y[1, :-1], y[1, 1:]))
-    crit_steps = crit_steps[crit_steps >= zero_steps[0]]
 
     # one vectorized interpolant rebuild for every bracketing step
-    steps = np.union1d(zero_steps, crit_steps)
-    coeffs = _step_coeffs(p, q, t[steps], y[:, steps], t[steps + 1], y[:, steps + 1])
+    steps = np.array(sorted({*zero_steps, *crit_steps}))
+    dense = _dop853.DenseOutput(partial(_rhs_array, p, q), t[steps], y[:, steps],
+                                t[steps + 1], y[:, steps + 1])
 
     def locate(k: int, comp: int) -> tuple[float, np.ndarray]:
         """Root of state component ``comp`` inside step k, and the state there."""
-        f = coeffs[np.searchsorted(steps, k)]
-        ta, tb = float(t[k]), float(t[k + 1])
-
-        def state(s: float) -> np.ndarray:
-            return y[:, k] + np.dot(_basis((s - ta) / (tb - ta)), f)
-
-        root = _brentq(lambda s: state(s)[comp], ta, tb, _EVENT_XTOL, _EVENT_XTOL)
-        return root, state(root)
+        i = int(np.searchsorted(steps, k))
+        root = _brentq(lambda s: dense.state(i, s)[comp], float(t[k]), float(t[k + 1]),
+                       _EVENT_XTOL, _EVENT_XTOL)
+        return root, dense.state(i, root)
 
     lam, zero_states = map(np.array, zip(*(locate(k, 0) for k in zero_steps)))
 

@@ -822,6 +822,21 @@ def test_huge_alpha_exit_code(capsys, argv):
                    f"(p=2.0, alpha={alpha})\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "1e200", "--m", "1", "--bc", "plane"],
+    ["verify", "--m", "1", "--bc", "plane", "--p", "1e300,1e301"],  # on the pool
+])
+def test_huge_p_exit_code(capsys, argv):
+    # u_t^2 of the start state overflows, so DOP853's first step is 0: one
+    # line naming the first p, not a ZeroDivisionError traceback
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    p = float(argv[argv.index("--p") + 1].split(",")[0])
+    assert out == ""
+    assert err == ("nodal: numerical failure: step controller failed: dop853: step size "
+                   f"becomes too small (p={p}, alpha=0.0)\n")
+
+
 def test_sweep_config_rejects_repeated_key(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("p = 50\nm = 1\nalpha = 0\nbc = plane\np = 60\n", encoding="utf-8")

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.integrate import tanhsinh
 
+from nodal import _dop853
 from nodal import bubbles as bb
 from nodal import cli
 from nodal import constants as cn
@@ -578,7 +579,8 @@ def test_float_rhs_bitwise_equals_min_clamp_oracle(p, alpha):
     points += [(t, u, 0.7) for t, u in _boundary_points(p, q)]
     new, ref = ro._make_rhs(p, q), _min_clamp_rhs(p, q)
     for t, u, v in points:
-        # DOP853 hands the callback a float t and a float64 array y
+        # the stepper hands the callback a float t and the floats (u, u_t); the
+        # oracle was written for a float64 array y, and both read only y[0], y[1]
         y = np.array([u, v, 1.25, -2.5])
         got, want = new(t, y), ref(t, y)
         assert all(a == b for a, b in zip(got, want)), (t, u, got, want)
@@ -752,19 +754,13 @@ def test_nan_right_hand_side_fails_within_bounded_steps(monkeypatch, capsys):
 
 
 def test_solver_refuses_a_gap_without_one_critical_point(monkeypatch):
-    crosses = ro._crosses
-    scans = []
+    stepper = _dop853.solve_to_zeros
 
-    def no_critical_points(a, b):
-        # _solve_impl's one array scan is the one for critical points
-        out = crosses(a, b)
-        if np.ndim(out):
-            scans.append(out)
-            if len(scans) == 1:
-                return np.zeros_like(out)
-        return out
+    def no_critical_points(*args):
+        rows, zero_steps, _, counts = stepper(*args)
+        return rows, zero_steps, [], counts
 
-    monkeypatch.setattr(ro, "_crosses", no_critical_points)
+    monkeypatch.setattr(_dop853, "solve_to_zeros", no_critical_points)
     with pytest.raises(ro.SolverError, match=r"^expected exactly one critical point between "
                                              r"zeros 1 and 2, found 0 \(p=3.0, alpha=0.0\)$"):
         ro._solve_impl(3.0, 0.0, 2, 1e-10)
@@ -789,8 +785,8 @@ def test_solver_refuses_too_few_zeros_before_the_t_cap(monkeypatch):
 
 
 def test_concurrent_solves_leave_the_warnings_filters_as_they_were(monkeypatch):
-    # a solve swaps the process's warnings filters; two in-process solves that
-    # run as A enters, B enters, A leaves, B leaves would leave A's filters behind
+    # no solve touches the process's warnings filters: two in-process solves
+    # that run as A enters, B enters, A leaves, B leaves leave them as they were
     real_rhs = ro._make_rhs
     a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
     p_a, p_b = 57.125, 58.125
@@ -1139,17 +1135,18 @@ def test_prefetch_all_hits_log_nothing_and_fork_no_pool(closed_pool, caplog):
 
 
 def test_repeated_solves_release_their_steps():
-    # the integrator wrapper keeps every callback it is handed; a solve must
-    # not leave its recorded steps behind with it
+    # a solve keeps only its solution: the stepper's record of about 270 rows,
+    # some 60 kB here, must not outlive it; the first solve warms the caches
     ro._solve_impl(70.0, 0.0, 3, 1e-10)
     gc.collect()
+    n = 3
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for i in range(20):
+        for i in range(n):
             ro._solve_impl(70.5 + i, 0.0, 3, 1e-10)
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert grown < 20 * 10_000
+    assert grown < n * 10_000

@@ -33,7 +33,10 @@ def _scipy_record(rhs, t0, y0, t_end, rtol, atol, nmax, n_zeros):
     counts = tuple(int(c) for c in solver._integrator.iwork[16:20])
     solver.set_solout(None)
     assert solver.get_return_code() == 2  # stopped by the recorder at the last zero
-    return rows, zero_steps, counts
+    # u_t changes sign over the step, touching zero included, from the first zero step on
+    crit_steps = [k for k in range(zero_steps[0], len(rows) - 1)
+                  if rows[k][2] <= 0.0 <= rows[k + 1][2] or rows[k + 1][2] <= 0.0 <= rows[k][2]]
+    return rows, zero_steps, crit_steps, counts
 
 
 @pytest.mark.parametrize("key", KEYS, ids=str)
@@ -54,12 +57,13 @@ def test_steps_counters_and_events_match_scipy(key, monkeypatch):
     monkeypatch.setattr(_dop853, "solve_to_zeros", recording_stepper)
     monkeypatch.setattr(ro, "_brentq", checked_brent)
     w = ro._solve_impl(*key, ro.default_tolerance())
-    [(args, (rows, zero_steps, counts))] = calls
-    want_rows, want_zero_steps, want_counts = _scipy_record(*args)
+    [(args, (rows, zero_steps, crit_steps, counts))] = calls
+    want_rows, want_zero_steps, want_crit_steps, want_counts = _scipy_record(*args)
     # every accepted t and all four state components, bit for bit
     assert len(rows) == len(want_rows)
     assert np.array(rows).tobytes() == np.array(want_rows).tobytes()
     assert zero_steps == want_zero_steps and len(zero_steps) == key[2]
+    assert crit_steps == want_crit_steps and len(crit_steps) >= key[2] - 1
     assert counts == want_counts
     # every zero and critical point: the same double as scipy.optimize.brentq
     assert len(roots) >= 2 * key[2] - 1
