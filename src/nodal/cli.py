@@ -1,16 +1,19 @@
 """Command-line front end: constants, bounds, solving, verification, bubbles.
 
 Output is byte-deterministic for identical inputs: JSON floats carry 17
-significant digits, and a result object (a dataclass) is written as a
-JSON object of its fields in declaration order.  CSV uses comma
-separators, LF line endings, a header row, 17-significant-digit value
-columns, and (in the constants table) 6-digit display columns mirroring
-the usual printed precision.
+significant digits (NaN and inf as null), and a result object (a
+dataclass) is written as a JSON object of its fields in declaration
+order.  CSV uses comma separators, LF line endings, a header row,
+17-significant-digit value columns (NaN as an empty cell), and (in the
+constants table) 6-digit display columns mirroring the usual printed
+precision.
 
 Each data command returns what it prints, the JSON value or
 ``(header, columns)`` for CSV, and :func:`run` alone writes it: to stdout,
 or byte for byte to the ``--out`` file, refused before the command runs when
-its directory is missing.  ``sweep`` writes its own directory.
+its directory is missing.  Every CSV column holds one type, ``str``,
+``int`` or ``float``, and the encoder has one rule for each.  ``sweep``
+writes its own directory, one file per grid point.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -23,6 +26,7 @@ import functools
 import io
 import math
 import sys
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
@@ -48,14 +52,6 @@ def _fmt(x: float, digits: int = 17) -> str:
     return f"{x:.{digits}g}"
 
 
-def _plain_finite_floats(obj) -> bool:
-    """Whether ``obj`` is a non-empty list of finite Python floats."""
-    # a NaN or inf cell makes the sum non-finite (so can an overflow); such lists
-    # take the chain, which writes a non-finite value as null
-    return (type(obj) is list and set(map(type, obj)) == {float}
-            and math.isfinite(sum(obj)))
-
-
 def _json_encode(obj, buf: io.StringIO, indent: int = 0) -> None:
     pad = " " * indent
     if obj is None:
@@ -77,9 +73,12 @@ def _json_encode(obj, buf: io.StringIO, indent: int = 0) -> None:
         buf.write("\n" + pad + "}" if obj else "}")
     elif dataclasses.is_dataclass(obj):
         _json_encode({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, buf, indent)
-    elif _plain_finite_floats(obj):
-        buf.write("[" + ", ".join(map("%.17g".__mod__, obj)) + "]")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, np.ndarray):
+        _json_encode(obj.tolist(), buf, indent)
+    elif type(obj) is list and set(map(type, obj)) == {float}:
+        buf.write("[" + ", ".join(["%.17g" % x if math.isfinite(x) else "null"
+                                   for x in obj]) + "]")
+    elif isinstance(obj, (list, tuple)):
         buf.write("[")
         for n, v in enumerate(obj):
             if n:
@@ -97,31 +96,21 @@ def _to_json(obj) -> str:
     return buf.getvalue()
 
 
-def _csv_cell(cell) -> str:
-    if type(cell) is not float:
-        if cell is None:
-            return ""
-        if isinstance(cell, str):
-            return cell
-        if isinstance(cell, (int, np.integer)):
-            return str(int(cell))
-        cell = float(cell)
-    return "" if cell != cell else f"{cell:.17g}"
-
-
 def _csv_column(column: Sequence) -> Sequence[str]:
-    """One column's cells, encoded as :func:`_csv_cell` encodes each."""
+    """One column's cells as text: ``str`` as they are, ``int`` in decimal,
+    ``float`` with 17 digits and NaN as an empty cell; no other column."""
     kinds = set(map(type, column))
+    if kinds <= {str}:
+        return column
+    if kinds == {int}:
+        return list(map(str, column))
     if kinds == {float}:
-        # a NaN cell makes the sum NaN (so can inf - inf); such columns take the chain
+        # a NaN cell makes the sum NaN (so can inf - inf)
         total = sum(column)
         if total == total:
             return ("%.17g\n" * len(column) % tuple(column)).split("\n")[:-1]
-    elif kinds == {str}:
-        return column
-    elif kinds == {int}:
-        return list(map(str, column))
-    return [_csv_cell(cell) for cell in column]
+        return ["" if x != x else "%.17g" % x for x in column]
+    raise TypeError(f"cannot encode a CSV column of {sorted(k.__name__ for k in kinds)}")
 
 
 def _to_csv(header: list[str], columns: Iterable[Sequence]) -> str:
@@ -162,9 +151,9 @@ def _cmd_constants(args) -> object:
     ]
     n = m + 1  # rows i = 0..m
 
-    def pad(values: list, start: int) -> list:
-        """``values`` in rows ``start``.., empty cells elsewhere."""
-        return [None] * start + values + [None] * (n - start - len(values))
+    def pad(values: list, start: int, empty=math.nan) -> list:
+        """``values`` in rows ``start``.., ``empty`` cells elsewhere."""
+        return [empty] * start + values + [empty] * (n - start - len(values))
 
     theta, m0_list = cn._theta_head(n), m0s.tolist()
     if ntab is not None:
@@ -174,8 +163,8 @@ def _cmd_constants(args) -> object:
         neumann = [pad([], 0)] * 4
     columns = [
         range(n), [_fmt(x, 6) for x in theta],
-        pad([_fmt(x, 6) for x in m0_list], 1),
-        pad([_fmt(x / math.sqrt(i), 6) for i, x in enumerate(m0_list, 1)], 1),
+        pad([_fmt(x, 6) for x in m0_list], 1, ""),
+        pad([_fmt(x / math.sqrt(i), 6) for i, x in enumerate(m0_list, 1)], 1, ""),
         theta,
         pad(table.R[1:].tolist(), 1), pad(table.S.tolist(), 0),
         pad(table.M.tolist(), 0), pad(table.D[1:].tolist(), 1),
@@ -242,7 +231,7 @@ def _cmd_verify(args) -> object:
     if args.format == "json":
         return reports
     header = ["quantity", "bc", "m", "alpha", "i", "p", "computed", "limit", "abs_err"]
-    rows = [[rep.quantity, rep.bc, rep.m, rep.alpha, rep.i,
+    rows = [[rep.quantity, rep.bc, rep.m, rep.alpha, "" if rep.i is None else str(rep.i),
              row.p, row.computed, row.limit, row.abs_err]
             for rep in reports for row in rep.rows]
     return header, zip(*rows)
@@ -362,16 +351,18 @@ def _cmd_sweep(args) -> None:
         for bc in cfg["bc"] for m in cfg["m"] for alpha in cfg["alpha"]
         for p in cfg["p"]
     )
+    # the names print p and alpha to 6 digits, so distinct grid points can share one
+    index = [f"solve_{bc}_m{m}_alpha{_fmt(alpha, 6)}_p{_fmt(p, 6)}.json"
+             for bc, m, alpha, p in combos]
+    name, count = Counter(index).most_common(1)[0]
+    if count > 1:
+        raise ValueError(f"sweep: {count} grid points would write {name}")
     sols = prefetch_solutions([(p, alpha, m) for bc, m, alpha, p in combos], tol,
                               workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    index = []
-    for (bc, m, alpha, p), w in zip(combos, sols):
-        payload = _dump(w, bc, m)
-        name = f"solve_{bc}_m{m}_alpha{_fmt(alpha, 6)}_p{_fmt(p, 6)}.json"
-        (out_dir / name).write_text(_to_json(payload), encoding="utf-8", newline="")
-        index.append(name)
+    for (bc, m, alpha, p), w, name in zip(combos, sols, index):
+        (out_dir / name).write_text(_to_json(_dump(w, bc, m)), encoding="utf-8", newline="")
     (out_dir / "index.json").write_text(_to_json(index), encoding="utf-8", newline="")
 
 

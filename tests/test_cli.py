@@ -630,6 +630,23 @@ def test_sweep_nonpositive_workers_rejected(tmp_path, capsys, workers):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("grid, name", [
+    ("p = 100.0000001, 100.0000002", "solve_dirichlet_m2_alpha0_p100.json"),
+    ("p = 50,50", "solve_dirichlet_m2_alpha0_p50.json"),
+])
+def test_sweep_rejects_grid_points_sharing_a_file(tmp_path, capsys, monkeypatch, grid, name):
+    # the file name prints p to 6 digits; a second point must not overwrite the first
+    solves = []
+    monkeypatch.setattr(ro, "_solve_impl", lambda *key: solves.append(key))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"{grid}\nm = 2\nalpha = 0\nbc = dirichlet\n", encoding="utf-8")
+    assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == f"nodal: error: sweep: 2 grid points would write {name}\n"
+    assert solves == [] and not (tmp_path / "o").exists()
+
+
 def test_module_entry_point_runs_cli(capsys):
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -905,35 +922,59 @@ def _csv_chain_oracle(header, rows):
 
 
 def test_csv_encoder_matches_chain_oracle():
-    rows = [
-        [None, "abc", 7, np.int64(-3), True, False, np.float64(0.1), math.nan,
-         math.inf, -math.inf, 0.12345678901234567, -0.0, 0.0, 5e-324, 1.7976931348623157e308],
-        [np.float64(math.nan), np.float64(-math.inf), np.float32(0.1), np.bool_(True), 1e22,
-         -2.5, 3.0, np.int32(12), "", 100.0, 1 / 3, -1e-300, 2.0 ** 60, np.float64(-0.0), 7],
-    ]
+    # one type per column; the float column holds every value the chain treats apart
     rng = np.random.default_rng(11)
-    rows.append([float(x) for x in rng.normal(0.0, 1e3, 15) * 10.0 ** rng.integers(-300, 300, 15)])
-    header = [f"c{j}" for j in range(15)]
-    assert cli._to_csv(header, zip(*rows)) == _csv_chain_oracle(header, rows)
+    columns = {
+        "float": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                  1e22, 0.12345678901234567, 1 / 3, -1e-300, 2.0 ** 60],
+        "random": [float(x) for x in
+                   rng.normal(0.0, 1e3, 12) * 10.0 ** rng.integers(-300, 300, 12)],
+        "int": [7, -3, 0, 12, 10**20, -10**20, 1, 2, 3, 4, 5, 6],
+        "str": ["abc", "", "theta_growth", "m0_growth", "s_last", "dirichlet_sup",
+                "neumann_sup", "true", "false", "x y", "7", "nan"],
+    }
+    header = list(columns)
+    rows = [list(row) for row in zip(*columns.values())]
+    assert cli._to_csv(header, columns.values()) == _csv_chain_oracle(header, rows)
+
+
+#: columns that mix types, or hold a type other than str, int and float
+_MIXED_COLUMNS = {
+    "none_str": [None, "abc", ""],
+    "none_float": [0.1, None, 0.3],
+    "none": [None, None],
+    "float_np": [0.1, 0.2, np.float64(0.3)],
+    "np_float": [np.float64(0.1), np.float64(math.nan)],
+    "np_float32": [np.float32(0.1)],
+    "int_bool": [1, 2, True],
+    "bool": [True, False],
+    "np_bool": [np.bool_(True)],
+    "int_np": [1, 2, np.int64(-4), 10**20],
+    "int_float": [7, 0.5],
+    "str_float": ["", 0.5],
+}
 
 
 def test_csv_column_fast_paths_match_chain_oracle():
-    # each column is uniform enough to take a fast path, or has one intruder that must not
+    # each typed column takes its type's one pass; the NaN-free float column the `%` pass
     columns = {
         "float_nan": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.797e308],
         "float_pos_inf": [math.inf, -0.0, 5e-324, 1.797e308, 1.797e308, 0.1],
         "float_neg_inf": [-math.inf, 0.0, -5e-324, -1.797e308, 1 / 3, 2.0 ** 60],
         "float_inf_pair": [math.inf, -math.inf, 1.0, 2.0, 3.0, 4.0],
-        "float_np": [0.1, 0.2, np.float64(0.3), 0.4, 0.5, 0.6],
-        "float_none": [0.1, None, 0.3, 0.4, 0.5, 0.6],
-        "int_bool": [1, 2, True, 4, -5, 0],
-        "int_np": [1, 2, 3, np.int64(-4), 5, 10**20],
+        "float_all_nan": [math.nan] * 6,
+        "int": [1, 2, 3, -4, 5, 10**20],
         "str": ["a", "", "theta_growth", "true", "false", "x y"],
     }
     header = list(columns)
     rows = [list(row) for row in zip(*columns.values())]
     assert cli._to_csv(header, columns.values()) == _csv_chain_oracle(header, rows)
     assert cli._to_csv(header, [[] for _ in header]) == _csv_chain_oracle(header, [])
+    for name, column in _MIXED_COLUMNS.items():
+        with pytest.raises(TypeError, match=r"^cannot encode a CSV column of \["):
+            cli._to_csv([name], [column])
+    with pytest.raises(TypeError, match=r"^cannot encode a CSV column of \['NoneType', 'str'\]$"):
+        cli._to_csv(["i"], [_MIXED_COLUMNS["none_str"]])
 
 
 def _json_cell(cell):
