@@ -10,11 +10,16 @@ the Fortran order, the error norm ``|h| err5^2 / sqrt(n (err5^2 + 0.01
 err3^2))``, PI control with beta = 0.04, safety 0.9 and the step ratio
 clamped to [0.3, 6], and after a rejected step a trial step of 0.3 h.
 
-The stepper is specialized to the radial system ``(u, u_t, Eg, Ep)``: the
-right-hand side reads only ``(u, u_t)``, the energies being quadratures,
-so the stages form only those two inputs.  It is written out stage by
-stage on Python floats; a loop over the tableau costs 1.4-1.9 times as
-much per step.  It alone decides which steps hold a zero of u or of u_t.
+The stepper is specialized to the radial system ``(u, u_t, Eg, Ep)`` of
+``radial_ode``: it takes (p, q), not a right-hand side, and evaluates
+the right-hand side inline at each stage, with the branches and
+constants of its array form ``radial_ode._rhs_array``; a Python call per
+stage cost about a fifth of the stepper's time.  The right-hand side
+reads only ``(u, u_t)``, the energies being quadratures, so the stages
+form only those two inputs, and the energy rates of stages 2-5 only
+where they are read.  It is written out stage by stage on Python floats;
+a loop over the tableau costs 1.4-1.9 times as much per step.  It alone
+decides which steps hold a zero of u or of u_t.
 
 :class:`DenseOutput` rebuilds DOP853's 7th-order interpolant of accepted
 steps after the fact, from their endpoints and re-evaluated stages.  The
@@ -27,6 +32,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .radial_ode import _EXP_CAP, _EXP_FLOOR, _U_FLOOR
 
 #: the method's stages; stage 13 is the first stage of the next step
 N_STAGES = 12
@@ -148,13 +155,15 @@ class StepFailure(RuntimeError):
     """The stepper stopped short: its message is DOP853's reason."""
 
 
-def solve_to_zeros(rhs, t: float, y: list[float], t_end: float, rtol: float, atol: float,
-                   nmax: int, n_zeros: int
+def solve_to_zeros(p: float, q: float, t: float, y: list[float], t_end: float, rtol: float,
+                   atol: float, nmax: int, n_zeros: int
                    ) -> tuple[list[list[float]], list[int], list[int], tuple]:
-    """Integrate ``y = (u, u_t, Eg, Ep)`` from t towards ``t_end > t`` until
-    u has changed sign ``n_zeros`` times.
+    """Integrate the radial system ``y = (u, u_t, Eg, Ep)`` from t towards
+    ``t_end > t`` until u has changed sign ``n_zeros`` times.
 
-    ``rhs(t, (u, u_t))`` returns the four derivatives.  Returns the record:
+    The right-hand side, ``(u_t, -e^(q t) |u|^(p-1) u, u_t^2, e^(q t) |u|^(p+1))``
+    with the branches of ``radial_ode._rhs_array``, is evaluated inline at
+    each stage.  Returns the record:
     a ``[t, u, u_t, Eg, Ep]`` row at t and at every accepted step; the
     zero steps, the index k of each step (row k -> k + 1) over which u
     changes sign, touching zero included; the critical steps, those over
@@ -180,13 +189,29 @@ def solve_to_zeros(rhs, t: float, y: list[float], t_end: float, rtol: float, ato
     _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = C[:11].tolist()
     bhh1, bhh2, bhh3 = BHH
     er1, er6, er7, er8, er9, er10, er11, er12 = ER
-    sqrt = math.sqrt
+    sqrt, log, exp, copysign = math.sqrt, math.log, math.exp, math.copysign
+    tiny, lo, cap, ecap = _U_FLOOR, _EXP_FLOOR, _EXP_CAP, math.exp(_EXP_CAP)
     expo1 = 1.0 / 8.0 - _BETA * 0.2
     facc1, facc2 = 1.0 / _FAC1, 1.0 / _FAC2
     hmax = t_end - t
 
+    # Each stage below is the right-hand side at (ts, su, sv), written out:
+    # k_u = sv, k_v = -f, k_g = sv^2, k_p = g, where f = e^ex sign(su) and
+    # g = e^(ex + ln|su|) with ex = q ts + p ln|su|, both 0 below |su| = tiny
+    # or at exponents <= lo, and clamped at exponent cap.  Nothing reads k_g
+    # and k_p of stages 2-5 but the stiffness test, which forms those of
+    # stages 4-5 from their saved exponents.
     u, v, eg, ep = y
-    k1u, k1v, k1g, k1p = rhs(t, (u, v))
+    k1u, k1g = v, v * v
+    au = abs(u)
+    if au < tiny:
+        k1v = k1p = 0.0
+    else:
+        lu = log(au)
+        ex = q * t + p * lu
+        k1v = -copysign(exp(ex) if ex < cap else ecap, u) if ex > lo else -0.0
+        ex += lu
+        k1p = (exp(ex) if ex < cap else ecap) if ex > lo else 0.0
     # Hairer's hinit: an Euler step sized by the norms of y and y', then
     # h^8 max(|y'|, |y''|) = 0.01
     sku, skv, skg, skp = (atol + rtol * abs(u), atol + rtol * abs(v),
@@ -201,7 +226,17 @@ def solve_to_zeros(rhs, t: float, y: list[float], t_end: float, rtol: float, ato
     h = min(hmax, h)
     if h == 0.0:  # |y'| overflowed; h = 0 fails the first step's step-size test
         raise StepFailure("step size becomes too small")
-    f2u, f2v, f2g, f2p = rhs(t + h, (u + h * k1u, v + h * k1v))
+    su, f2u = u + h * k1u, v + h * k1v
+    f2g = f2u * f2u
+    au = abs(su)
+    if au < tiny:
+        f2v = f2p = 0.0
+    else:
+        lu = log(au)
+        ex = q * (t + h) + p * lu
+        f2v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+        ex += lu
+        f2p = (exp(ex) if ex < cap else ecap) if ex > lo else 0.0
     fu, fv, fg, fp = (f2u - k1u) / sku, (f2v - k1v) / skv, (f2g - k1g) / skg, (f2p - k1p) / skp
     der2 = sqrt(fu * fu + fv * fv + fg * fg + fp * fp) / h
     der12 = max(abs(der2), sqrt(dnf))
@@ -225,40 +260,133 @@ def solve_to_zeros(rhs, t: float, y: list[float], t_end: float, rtol: float, ato
             last = True
         nstep += 1
 
-        k2u, k2v, k2g, k2p = rhs(t + c2 * h, (u + h * a21 * k1u, v + h * a21 * k1v))
-        k3u, k3v, k3g, k3p = rhs(t + c3 * h, (u + h * (a31 * k1u + a32 * k2u),
-                                              v + h * (a31 * k1v + a32 * k2v)))
-        k4u, k4v, k4g, k4p = rhs(t + c4 * h, (u + h * (a41 * k1u + a43 * k3u),
-                                              v + h * (a41 * k1v + a43 * k3v)))
-        k5u, k5v, k5g, k5p = rhs(t + c5 * h, (u + h * (a51 * k1u + a53 * k3u + a54 * k4u),
-                                              v + h * (a51 * k1v + a53 * k3v + a54 * k4v)))
-        k6u, k6v, k6g, k6p = rhs(t + c6 * h, (u + h * (a61 * k1u + a64 * k4u + a65 * k5u),
-                                              v + h * (a61 * k1v + a64 * k4v + a65 * k5v)))
-        k7u, k7v, k7g, k7p = rhs(t + c7 * h, (
-            u + h * (a71 * k1u + a74 * k4u + a75 * k5u + a76 * k6u),
-            v + h * (a71 * k1v + a74 * k4v + a75 * k5v + a76 * k6v)))
-        k8u, k8v, k8g, k8p = rhs(t + c8 * h, (
-            u + h * (a81 * k1u + a84 * k4u + a85 * k5u + a86 * k6u + a87 * k7u),
-            v + h * (a81 * k1v + a84 * k4v + a85 * k5v + a86 * k6v + a87 * k7v)))
-        k9u, k9v, k9g, k9p = rhs(t + c9 * h, (
+        su, k2u = u + h * a21 * k1u, v + h * a21 * k1v
+        au = abs(su)
+        if au < tiny:
+            k2v = 0.0
+        else:
+            ex = q * (t + c2 * h) + p * log(au)
+            k2v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+        su, k3u = u + h * (a31 * k1u + a32 * k2u), v + h * (a31 * k1v + a32 * k2v)
+        au = abs(su)
+        if au < tiny:
+            k3v = 0.0
+        else:
+            ex = q * (t + c3 * h) + p * log(au)
+            k3v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+        su, k4u = u + h * (a41 * k1u + a43 * k3u), v + h * (a41 * k1v + a43 * k3v)
+        au = abs(su)
+        if au < tiny:
+            k4v, x4 = 0.0, lo
+        else:
+            lu = log(au)
+            ex = q * (t + c4 * h) + p * lu
+            k4v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+            x4 = ex + lu
+        su, k5u = (u + h * (a51 * k1u + a53 * k3u + a54 * k4u),
+                   v + h * (a51 * k1v + a53 * k3v + a54 * k4v))
+        au = abs(su)
+        if au < tiny:
+            k5v, x5 = 0.0, lo
+        else:
+            lu = log(au)
+            ex = q * (t + c5 * h) + p * lu
+            k5v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+            x5 = ex + lu
+        su, k6u = (u + h * (a61 * k1u + a64 * k4u + a65 * k5u),
+                   v + h * (a61 * k1v + a64 * k4v + a65 * k5v))
+        k6g = k6u * k6u
+        au = abs(su)
+        if au < tiny:
+            k6v = k6p = 0.0
+        else:
+            lu = log(au)
+            ex = q * (t + c6 * h) + p * lu
+            k6v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+            ex += lu
+            k6p = (exp(ex) if ex < cap else ecap) if ex > lo else 0.0
+        su, k7u = (u + h * (a71 * k1u + a74 * k4u + a75 * k5u + a76 * k6u),
+                   v + h * (a71 * k1v + a74 * k4v + a75 * k5v + a76 * k6v))
+        k7g = k7u * k7u
+        au = abs(su)
+        if au < tiny:
+            k7v = k7p = 0.0
+        else:
+            lu = log(au)
+            ex = q * (t + c7 * h) + p * lu
+            k7v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+            ex += lu
+            k7p = (exp(ex) if ex < cap else ecap) if ex > lo else 0.0
+        su, k8u = (u + h * (a81 * k1u + a84 * k4u + a85 * k5u + a86 * k6u + a87 * k7u),
+                   v + h * (a81 * k1v + a84 * k4v + a85 * k5v + a86 * k6v + a87 * k7v))
+        k8g = k8u * k8u
+        au = abs(su)
+        if au < tiny:
+            k8v = k8p = 0.0
+        else:
+            lu = log(au)
+            ex = q * (t + c8 * h) + p * lu
+            k8v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+            ex += lu
+            k8p = (exp(ex) if ex < cap else ecap) if ex > lo else 0.0
+        su, k9u = (
             u + h * (a91 * k1u + a94 * k4u + a95 * k5u + a96 * k6u + a97 * k7u + a98 * k8u),
-            v + h * (a91 * k1v + a94 * k4v + a95 * k5v + a96 * k6v + a97 * k7v + a98 * k8v)))
-        k10u, k10v, k10g, k10p = rhs(t + c10 * h, (
+            v + h * (a91 * k1v + a94 * k4v + a95 * k5v + a96 * k6v + a97 * k7v + a98 * k8v))
+        k9g = k9u * k9u
+        au = abs(su)
+        if au < tiny:
+            k9v = k9p = 0.0
+        else:
+            lu = log(au)
+            ex = q * (t + c9 * h) + p * lu
+            k9v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+            ex += lu
+            k9p = (exp(ex) if ex < cap else ecap) if ex > lo else 0.0
+        su, k10u = (
             u + h * (a101 * k1u + a104 * k4u + a105 * k5u + a106 * k6u + a107 * k7u
                      + a108 * k8u + a109 * k9u),
             v + h * (a101 * k1v + a104 * k4v + a105 * k5v + a106 * k6v + a107 * k7v
-                     + a108 * k8v + a109 * k9v)))
-        k11u, k11v, k11g, k11p = rhs(t + c11 * h, (
+                     + a108 * k8v + a109 * k9v))
+        k10g = k10u * k10u
+        au = abs(su)
+        if au < tiny:
+            k10v = k10p = 0.0
+        else:
+            lu = log(au)
+            ex = q * (t + c10 * h) + p * lu
+            k10v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+            ex += lu
+            k10p = (exp(ex) if ex < cap else ecap) if ex > lo else 0.0
+        su, k11u = (
             u + h * (a111 * k1u + a114 * k4u + a115 * k5u + a116 * k6u + a117 * k7u
                      + a118 * k8u + a119 * k9u + a1110 * k10u),
             v + h * (a111 * k1v + a114 * k4v + a115 * k5v + a116 * k6v + a117 * k7v
-                     + a118 * k8v + a119 * k9v + a1110 * k10v)))
+                     + a118 * k8v + a119 * k9v + a1110 * k10v))
+        k11g = k11u * k11u
+        au = abs(su)
+        if au < tiny:
+            k11v = k11p = 0.0
+        else:
+            lu = log(au)
+            ex = q * (t + c11 * h) + p * lu
+            k11v = -copysign(exp(ex) if ex < cap else ecap, su) if ex > lo else -0.0
+            ex += lu
+            k11p = (exp(ex) if ex < cap else ecap) if ex > lo else 0.0
         tph = t + h
         y12u = u + h * (a121 * k1u + a124 * k4u + a125 * k5u + a126 * k6u + a127 * k7u
                         + a128 * k8u + a129 * k9u + a1210 * k10u + a1211 * k11u)
-        y12v = v + h * (a121 * k1v + a124 * k4v + a125 * k5v + a126 * k6v + a127 * k7v
+        k12u = v + h * (a121 * k1v + a124 * k4v + a125 * k5v + a126 * k6v + a127 * k7v
                         + a128 * k8v + a129 * k9v + a1210 * k10v + a1211 * k11v)
-        k12u, k12v, k12g, k12p = rhs(tph, (y12u, y12v))
+        k12g = k12u * k12u
+        au = abs(y12u)
+        if au < tiny:
+            k12v = k12p = 0.0
+        else:
+            lu = log(au)
+            ex = q * tph + p * lu
+            k12v = -copysign(exp(ex) if ex < cap else ecap, y12u) if ex > lo else -0.0
+            ex += lu
+            k12p = (exp(ex) if ex < cap else ecap) if ex > lo else 0.0
         nfcn += 11
 
         # the 8th-order solution, and its 5th- and 3rd-order error estimates
@@ -301,17 +429,29 @@ def solve_to_zeros(rhs, t: float, y: list[float], t_end: float, rtol: float, ato
         if err <= 1.0:
             facold = max(err, 1.0e-4)
             naccpt += 1
-            f1u, f1v, f1g, f1p = rhs(tph, (nu, nv))
+            f1u, f1g = nv, nv * nv
+            au = abs(nu)
+            if au < tiny:
+                f1v = f1p = 0.0
+            else:
+                lu = log(au)
+                ex = q * tph + p * lu
+                f1v = -copysign(exp(ex) if ex < cap else ecap, nu) if ex > lo else -0.0
+                ex += lu
+                f1p = (exp(ex) if ex < cap else ecap) if ex > lo else 0.0
             nfcn += 1
             if naccpt % _NSTIFF == 0 or iasti > 0:
                 # h |lambda| from the last two stages; 15 in a row above 6.1 is stiff
                 su, sv, sg, sp = f1u - k12u, f1v - k12v, f1g - k12g, f1p - k12p
                 stnum = su * su + sv * sv + sg * sg + sp * sp
+                k4g, k5g = k4u * k4u, k5u * k5u
+                k4p = (exp(x4) if x4 < cap else ecap) if x4 > lo else 0.0
+                k5p = (exp(x5) if x5 < cap else ecap) if x5 > lo else 0.0
                 y12g = eg + h * (a121 * k1g + a124 * k4g + a125 * k5g + a126 * k6g + a127 * k7g
                                  + a128 * k8g + a129 * k9g + a1210 * k10g + a1211 * k11g)
                 y12p = ep + h * (a121 * k1p + a124 * k4p + a125 * k5p + a126 * k6p + a127 * k7p
                                  + a128 * k8p + a129 * k9p + a1210 * k10p + a1211 * k11p)
-                su, sv, sg, sp = nu - y12u, nv - y12v, ng - y12g, np_ - y12p
+                su, sv, sg, sp = nu - y12u, nv - k12u, ng - y12g, np_ - y12p
                 stden = su * su + sv * sv + sg * sg + sp * sp
                 if stden > 0.0:
                     hlamb = abs(h) * sqrt(stnum / stden)

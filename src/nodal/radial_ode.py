@@ -14,10 +14,12 @@ every boundary condition at fixed (p, alpha).  A disc solution is a view
 of that trajectory; its values are scaled to the disc only when read.
 
 The energies are carried as augmented quadrature states.  All of DOP853
-lives in ``nodal._dop853``: its stepper runs on plain floats (NumPy scalar
-arithmetic cost about 40% of each right-hand-side call) and takes the same
-steps as SciPy's ``ode('dop853')`` bit for bit, PI-controlled (Gustafsson,
-ACM TOMS 17, 1991) with ``beta = 0.04``, which halves the rejected steps.
+lives in ``nodal._dop853``: its stepper runs on plain floats, evaluates
+the right-hand side inline at each stage (``_rhs_array`` is its array
+form, and the constants of its branches are defined here, once), and
+takes the same steps as SciPy's ``ode('dop853')`` bit for bit,
+PI-controlled (Gustafsson, ACM TOMS 17, 1991) with ``beta = 0.04``, which
+halves the rejected steps.
 It keeps the solve's one record, a row per accepted step, and alone decides
 which steps hold a zero of u or of u_t, stopping at the ``m_max``-th zero.
 Zeros and critical points are located by Brent's method (``_brentq``, the
@@ -38,7 +40,7 @@ worker count or when the pool breaks, and shut down at interpreter exit
 
 No process loads SciPy.  ``_dop853`` is imported only where the solver
 runs, in ``_solve_impl`` and ``WholePlaneSolution.eval_state``: compiling
-it took about 4 ms, which the p -> infinity commands need not pay.
+it took about 5 ms, which the p -> infinity commands need not pay.
 """
 
 from __future__ import annotations
@@ -82,8 +84,12 @@ __all__ = [
 #: start the integration where the equation coefficient is this small
 _START_COEFF = 1e-12
 
-#: on-trajectory combined exponents stay below ~30; clamp trial steps here
+#: the right-hand side's branches: on-trajectory combined exponents stay
+#: below ~30, and trial steps clamp them at _EXP_CAP; an exponent at or below
+#: _EXP_FLOOR, or |u| below _U_FLOOR, gives a nonlinearity of 0
 _EXP_CAP = 100.0
+_EXP_FLOOR = -700.0
+_U_FLOOR = 1e-300
 
 #: step limit (NMAX) of the DOP853 stepper; a run past it is a SolverError
 #: whose message keeps DOP853's "larger nsteps is needed"
@@ -202,41 +208,20 @@ def _series_state(p: float, alpha: float, t: np.ndarray) -> np.ndarray:
     return np.stack([u, ut, eg, ep])
 
 
-def _make_rhs(p: float, q: float):
-    """DOP853's right-hand side on plain floats; it reads only ``y[0]`` = u
-    and ``y[1]`` = u_t.  The branch clamps an exponent at ``_EXP_CAP`` to
-    the same double as ``min(ex, _EXP_CAP)``."""
-    log = math.log
-    exp = math.exp
-    copysign = math.copysign
-    exp_cap = exp(_EXP_CAP)
-
-    def rhs(t: float, y) -> tuple:
-        u = y[0]
-        v = y[1]
-        au = abs(u)
-        if au < 1e-300:
-            return (v, 0.0, v * v, 0.0)
-        lu = log(au)
-        ex = q * t + p * lu
-        f = copysign(exp(ex) if ex < _EXP_CAP else exp_cap, u) if ex > -700.0 else 0.0
-        exg = ex + lu
-        g = (exp(exg) if exg < _EXP_CAP else exp_cap) if exg > -700.0 else 0.0
-        return (v, -f, v * v, g)
-
-    return rhs
-
-
 def _rhs_array(p: float, q: float, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The right-hand side of ``_make_rhs`` at many points: t (n,), y (4, n)."""
+    """The right-hand side ``(u_t, -f, u_t^2, g)`` at many points: t (n,),
+    y (4, n).  With ``ex = q t + p ln|u|``, f is e^ex with the sign of u
+    and g is e^(ex + ln|u|), each clamped at ``_EXP_CAP`` and 0 for an
+    exponent at or below ``_EXP_FLOOR`` or for |u| below ``_U_FLOOR``.
+    ``_dop853.solve_to_zeros`` evaluates the same branches inline."""
     u, v = y[0], y[1]
     au = np.abs(u)
-    live = au >= 1e-300
+    live = au >= _U_FLOOR
     lu = np.log(np.where(live, au, 1.0))
     ex = q * t + p * lu
-    f = np.where(live & (ex > -700.0), np.copysign(np.exp(np.minimum(ex, _EXP_CAP)), u), 0.0)
+    f = np.where(live & (ex > _EXP_FLOOR), np.copysign(np.exp(np.minimum(ex, _EXP_CAP)), u), 0.0)
     exg = ex + lu
-    g = np.where(live & (exg > -700.0), np.exp(np.minimum(exg, _EXP_CAP)), 0.0)
+    g = np.where(live & (exg > _EXP_FLOOR), np.exp(np.minimum(exg, _EXP_CAP)), 0.0)
     return np.stack([v, -f, v * v, g])
 
 
@@ -336,8 +321,7 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
     # of each step (node k -> k + 1) that holds a sign change of u or of u_t
     try:
         rows, zero_steps, crit_steps, _ = _dop853.solve_to_zeros(
-            _make_rhs(p, q), t0, y0.tolist(), t_cap, max(tol * 1e-2, 1e-13), tol * 1e-4,
-            _MAX_STEPS, m_max)
+            p, q, t0, y0.tolist(), t_cap, max(tol * 1e-2, 1e-13), tol * 1e-4, _MAX_STEPS, m_max)
     except _dop853.StepFailure as exc:
         raise SolverError(
             f"step controller failed: dop853: {exc} (p={p}, alpha={alpha})") from None

@@ -24,6 +24,7 @@ from nodal import cli
 from nodal import constants as cn
 from nodal import radial_ode as ro
 from nodal import verify as vf
+from rhs_oracle import boundary_points, min_clamp_rhs
 
 SQRT_E = math.exp(0.5)
 
@@ -499,7 +500,7 @@ def test_tanh_sinh_levels_nest():
 def test_rhs_scalar_and_array_agree(t, u):
     p, q = 50.0, 2.0
     y = np.array([u, 0.3, 1.5, 2.5])
-    scalar = np.array(ro._make_rhs(p, q)(t, y))
+    scalar = np.array(min_clamp_rhs(p, q)(t, y))
     array = ro._rhs_array(p, q, np.array([t, t]), np.column_stack([y, y]))
     assert array.shape == (4, 2)
     for col in array.T:
@@ -507,68 +508,12 @@ def test_rhs_scalar_and_array_agree(t, u):
         assert np.array_equal(col == 0.0, scalar == 0.0)
 
 
-def _min_clamp_rhs(p, q):
-    """The right-hand side as it was written on NumPy scalars, with
-    ``min()`` clamps: the oracle for the plain-float ``_make_rhs``."""
-    log = math.log
-    exp = math.exp
-    copysign = math.copysign
-
-    def rhs(t, y):
-        u = y[0]
-        v = y[1]
-        au = abs(u)
-        if au < 1e-300:
-            return (v, 0.0, v * v, 0.0)
-        lu = log(au)
-        ex = q * t + p * lu
-        f = copysign(exp(min(ex, ro._EXP_CAP)), u) if ex > -700.0 else 0.0
-        exg = ex + lu
-        g = exp(min(exg, ro._EXP_CAP)) if exg > -700.0 else 0.0
-        return (v, -f, v * v, g)
-
-    return rhs
-
-
-def _t_hitting(p, q, u, target, with_lu):
-    """A t at which the RHS's exponent (``ex``, or ``ex + ln|u|`` when
-    ``with_lu``) evaluates to exactly ``target``; None if no double does."""
-    lu = math.log(abs(u))
-    t = (target - (p + with_lu) * lu) / q
-    for _ in range(64):
-        ex = q * t + p * lu
-        val = ex + lu if with_lu else ex
-        if val == target:
-            return t
-        t = math.nextafter(t, math.inf if val < target else -math.inf)
-    return None
-
-
-def _boundary_points(p, q):
-    """(t, u) on every branch edge of the RHS."""
-    pts = [
-        (100.0 / q, 1.0),             # ex == exg == _EXP_CAP
-        (-700.0 / q, -1.0),           # ex == exg == -700
-        (3.0, 1e-300),                # |u| == 1e-300 takes the log branch
-        (3.0, -1e-300),
-        (3.0, math.nextafter(1e-300, 0.0)),
-        (3.0, math.nan),
-        (-5.0, math.nan),
-    ]
-    for target in (ro._EXP_CAP, -700.0):
-        for with_lu in (False, True):
-            for u in [(-1.0) ** k * (0.05 + 0.037 * k) for k in range(80)]:
-                t = _t_hitting(p, q, u, target, with_lu)
-                if t is not None:
-                    pts.append((t, u))
-                    break
-            else:
-                raise AssertionError(f"no t hits {target} (with_lu={with_lu})")
-    return pts
-
-
 @pytest.mark.parametrize("p, alpha", [(1.5, 0.0), (50.0, 0.0), (400.0, 1.0), (1e4, 2.5)])
 def test_float_rhs_bitwise_equals_min_clamp_oracle(p, alpha):
+    # the stepper's inline right-hand side is checked bit for bit against the
+    # oracle through SciPy (test_scipy_oracle.py); here its array form takes
+    # the same branch at every point, and forms u_t and u_t^2 bit for bit; its
+    # two exponentials are NumPy's exp and log, not libm's, so within 1e-14
     q = 2.0 + alpha
     rng = np.random.default_rng(int(p) + 7)
     n = 2000
@@ -576,39 +521,35 @@ def test_float_rhs_bitwise_equals_min_clamp_oracle(p, alpha):
     us = np.exp(rng.uniform(-700.0, 2.0, n)) * rng.choice([-1.0, 1.0], n)
     vs = rng.normal(0.0, 3.0, n)
     points = [(float(t), float(u), float(v)) for t, u, v in zip(ts, us, vs)]
-    points += [(t, u, 0.7) for t, u in _boundary_points(p, q)]
-    new, ref = ro._make_rhs(p, q), _min_clamp_rhs(p, q)
-    for t, u, v in points:
-        # the stepper hands the callback a float t and the floats (u, u_t); the
-        # oracle was written for a float64 array y, and both read only y[0], y[1]
-        y = np.array([u, v, 1.25, -2.5])
-        got, want = new(t, y), ref(t, y)
-        assert all(a == b for a, b in zip(got, want)), (t, u, got, want)
-        # bit for bit: the sign of zero matches too
-        assert [float(a).hex() for a in got] == [float(b).hex() for b in want]
+    points += [(t, u, 0.7) for t, u in boundary_points(p, q)]
+    ref = min_clamp_rhs(p, q)
+    want = np.array([ref(t, (u, v)) for t, u, v in points]).T
+    t, u, v = np.array(points).T
+    got = ro._rhs_array(p, q, t, np.stack([u, v, np.full(len(t), 1.25), np.full(len(t), -2.5)]))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert got[[0, 2]].tobytes() == want[[0, 2]].tobytes()
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_rhs_calls_per_stored_step(monkeypatch):
-    # DOP853 spends 12 RHS calls per accepted step and 11 per rejected trial;
-    # the stabilized step control keeps the pooled ratio near 13.1 (14.5 without)
-    calls = 0
-    real = ro._make_rhs
+    # DOP853 spends 12 RHS evaluations per accepted step and 11 per rejected
+    # trial, counted in nfcn; the stabilized step control keeps the pooled
+    # ratio near 13.1 (14.5 without)
+    stepper, nfcn = _dop853.solve_to_zeros, []
 
-    def counting_rhs(p, q):
-        rhs = real(p, q)
+    def counting_stepper(*args):
+        out = stepper(*args)
+        nfcn.append(out[3][0])
+        return out
 
-        def counted(t, y):
-            nonlocal calls
-            calls += 1
-            return rhs(t, y)
-
-        return counted
-
-    monkeypatch.setattr(ro, "_make_rhs", counting_rhs)
+    monkeypatch.setattr(_dop853, "solve_to_zeros", counting_stepper)
     nodes = 0
-    for key in [(50.0, 0.0, 3), (200.0, 1.0, 4), (1234.5, 1.0, 4), (1e4, 0.0, 3), (7.7, 2.5, 6)]:
+    keys = [(50.0, 0.0, 3), (200.0, 1.0, 4), (1234.5, 1.0, 4), (1e4, 0.0, 3), (7.7, 2.5, 6)]
+    for key in keys:
         nodes += len(ro._solve_impl(*key, 1e-10).t)
-    assert calls / nodes <= 13.5
+    assert len(nfcn) == len(keys)
+    assert sum(nfcn) / nodes <= 13.5
 
 
 def test_disc_rescaling_overflow_is_solver_error():
@@ -730,25 +671,17 @@ def test_step_limit_raises_solver_error(monkeypatch):
 
 
 def test_nan_right_hand_side_fails_within_bounded_steps(monkeypatch, capsys):
-    # a right-hand side that turns NaN fails every trial step's error test; each
-    # rejection cuts the step to 0.3 h, so after a bounded number of trials the
-    # step falls below the roundoff of t: a SolverError, and exit 2 from the CLI
-    real, calls = ro._make_rhs, []
-
-    def make_rhs(p, q):
-        rhs = real(p, q)
-
-        def nan_past_one(t, y):
-            calls.append(t)
-            return (math.nan,) * 4 if t > 1.0 else rhs(t, y)
-
-        return nan_past_one
-
-    monkeypatch.setattr(ro, "_make_rhs", make_rhs)
+    # a NaN start state makes the right-hand side NaN, which fails every trial
+    # step's error test; each rejection cuts the step to 0.3 h, so after a
+    # bounded number of trials the step falls below the roundoff of t: a
+    # SolverError, and exit 2 from the CLI.  The step-size test ends the solve,
+    # well inside a step limit of 100.
+    series = ro._series_state
+    monkeypatch.setattr(ro, "_series_state", lambda p, alpha, t: math.nan * series(p, alpha, t))
+    monkeypatch.setattr(ro, "_MAX_STEPS", 100)
     message = "step controller failed: dop853: step size becomes too small (p=77.375, alpha=0.0)"
     with pytest.raises(ro.SolverError, match=f"^{re.escape(message)}$"):
         ro._solve_impl(77.375, 0.0, 2, 1e-10)
-    assert 0 < len(calls) < 2500 and max(calls) > 1.0
     assert cli.run(["solve", "--p", "77.375", "--m", "2", "--bc", "dirichlet"]) == 2
     assert capsys.readouterr().err == f"nodal: numerical failure: {message}\n"
 
@@ -787,27 +720,20 @@ def test_solver_refuses_too_few_zeros_before_the_t_cap(monkeypatch):
 def test_concurrent_solves_leave_the_warnings_filters_as_they_were(monkeypatch):
     # no solve touches the process's warnings filters: two in-process solves
     # that run as A enters, B enters, A leaves, B leaves leave them as they were
-    real_rhs = ro._make_rhs
+    stepper = _dop853.solve_to_zeros
     a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
     p_a, p_b = 57.125, 58.125
 
-    def make_rhs(p, q):
-        rhs, first = real_rhs(p, q), [True]
+    def paused(p, *args):
+        if p == p_a:
+            a_in.set()
+            b_in.wait(0.2)  # hold A inside its solve until B has entered
+        else:
+            b_in.set()
+            a_out.wait(0.2)  # hold B inside its solve until A has left
+        return stepper(p, *args)
 
-        def paused(t, y):
-            if first:
-                first.clear()
-                if p == p_a:
-                    a_in.set()
-                    b_in.wait(0.2)  # hold A inside its solve until B has entered
-                else:
-                    b_in.set()
-                    a_out.wait(0.2)  # hold B inside its solve until A has left
-            return rhs(t, y)
-
-        return paused
-
-    monkeypatch.setattr(ro, "_make_rhs", make_rhs)
+    monkeypatch.setattr(_dop853, "solve_to_zeros", paused)
     before, solved = list(warnings.filters), {}
 
     def solve(p, done=None):

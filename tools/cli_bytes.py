@@ -61,6 +61,9 @@ INVOCATIONS = [
     ["solve", "--p", "200", "--m", "2", "--bc", "plane", "--samples", "200", "--format", "csv"],
     ["solve", "--p", "60", "--m", "2", "--bc", "dirichlet", "--samples", "30", "--tol", "1e-8",
      "--format", "csv", "--out", "s.csv"],
+    ["solve", "--p", "200", "--alpha", "0", "--m", "30", "--bc", "dirichlet", "--samples", "400",
+     "--format", "csv"],
+    ["solve", "--p", "1e8", "--m", "4", "--bc", "plane"],
     ["solve", "--p", "1", "--m", "2", "--bc", "dirichlet"],
     ["solve", "--p", "40", "--m", "1", "--bc", "neumann"],
     ["solve", "--p", "40", "--m", "2", "--bc", "robin"],
@@ -70,6 +73,7 @@ INVOCATIONS = [
     ["solve", "--p", "40", "--m", "2", "--bc", "dirichlet", "--tol", "nan"],
     ["solve", "--p", "2", "--alpha", "1e62", "--m", "1", "--bc", "plane"],
     ["solve", "--p", "1.03", "--alpha", "19.5", "--m", "8", "--bc", "dirichlet"],
+    ["solve", "--p", "1e156", "--m", "1", "--bc", "plane"],
     # verify
     ["verify", "--m", "2", "--alpha", "0", "--bc", "dirichlet", "--p", "50,100,200"],
     ["verify", "--m", "3", "--bc", "neumann", "--p", "40,80", "--format", "json"],

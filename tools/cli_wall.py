@@ -29,14 +29,16 @@ from pathlib import Path
 #: fresh processes per side and invocation
 ROUNDS = 10
 
-#: the command lines: the p -> infinity commands, then a solve, a pooled verify,
-#: and a verify refused for its ``--out`` directory
+#: the command lines: the p -> infinity commands, then a short and a long
+#: (30-zero) solve, a pooled verify, and a verify refused for its ``--out``
+#: directory
 INVOCATIONS = [
     ["constants", "--m", "25"],
     ["constants", "--m", "80", "--format", "json"],
     ["bounds", "--kmax", "4000", "--mmax", "80"],
     ["bubble", "--i", "10", "--alpha", "1"],
     ["solve", "--p", "200", "--alpha", "0", "--m", "2", "--bc", "dirichlet"],
+    ["solve", "--p", "200", "--alpha", "0", "--m", "30", "--bc", "dirichlet"],
     ["verify", "--m", "3", "--bc", "neumann", "--p", "40,80", "--format", "json"],
     ["verify", "--m", "2", "--bc", "dirichlet", "--p", "40,80", "--out", "missing/v.csv"],
 ]
