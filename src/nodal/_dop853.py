@@ -22,18 +22,19 @@ a loop over the tableau costs 1.4-1.9 times as much per step.  It alone
 decides which steps hold a zero of u or of u_t.
 
 :class:`DenseOutput` rebuilds DOP853's 7th-order interpolant of accepted
-steps after the fact, from their endpoints and re-evaluated stages.  The
-tableau below is the one source of DOP853's coefficients, and nothing
-outside this module reads it.
+steps from their endpoints, each from its own re-evaluated stages summed in
+a fixed order.  The tableau below is the one source of DOP853's
+coefficients, and nothing outside this module reads it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
-from .radial_ode import _EXP_CAP, _EXP_FLOOR, _U_FLOOR
+from .radial_ode import _EXP_CAP, _EXP_FLOOR, _U_FLOOR, _rhs_array
 
 #: the method's stages; stage 13 is the first stage of the next step
 N_STAGES = 12
@@ -492,6 +493,12 @@ def solve_to_zeros(p: float, q: float, t: float, y: list[float], t_end: float, r
     return rows, zero_steps, crit_steps, (nfcn, nstep, naccpt, nrejct)
 
 
+def _stage_sum(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``w_a k[a] + w_b k[b] + ...`` over the nonzero weights, added in index order
+    as the stepper writes it: one step's sum is the same double in any batch."""
+    return reduce(np.add, [c * k[j] for j, c in enumerate(w.tolist()) if c])
+
+
 def _basis(x):
     """DOP853's interpolation basis x, x(1-x), x^2(1-x), ..., x^4(1-x)^3.
 
@@ -506,29 +513,28 @@ def _basis(x):
 
 
 class DenseOutput:
-    """DOP853's 7th-order interpolant of the accepted steps t0[i] -> t1[i].
+    """DOP853's 7th-order interpolant of the accepted steps t0[i] -> t1[i] at (p, q).
 
-    The twelve stages of each step are re-evaluated from its start point,
-    then the three extra interpolation stages, exactly as DOP853 does when
-    it forms its continuous output.  ``rhs(t, y)`` is the right-hand side
-    at many points, t (n,) and y (4, n): every step goes through it at
-    once.  The steps are in increasing order and need not be adjacent.
+    Each step's twelve stages and three extra interpolation stages are
+    re-evaluated from its start by ``radial_ode._rhs_array`` on the rows (u, u_t)
+    it reads, summed by ``_stage_sum``; NumPy's exp and log may differ from the
+    stepper's by an ulp.  Steps are in increasing order, maybe not adjacent.
     """
 
-    def __init__(self, rhs, t0: np.ndarray, y0: np.ndarray, t1: np.ndarray,
+    def __init__(self, p: float, q: float, t0: np.ndarray, y0: np.ndarray, t1: np.ndarray,
                  y1: np.ndarray) -> None:
         h = t1 - t0
         k = np.empty((16, 4, len(h)))
-        k[0] = rhs(t0, y0)
+        k[0] = _rhs_array(p, q, t0, y0)
         for s in range(1, 16):  # stage 13, the next step's first, is the RHS at the end
-            k[s] = (rhs(t1, y1) if s == N_STAGES else
-                    rhs(t0 + C[s] * h, y0 + h * np.tensordot(A[s, :s], k[:s], axes=1)))
+            k[s] = (_rhs_array(p, q, t1, y1) if s == N_STAGES else
+                    _rhs_array(p, q, t0 + C[s] * h, y0[:2] + h * _stage_sum(A[s, :s], k[:, :2])))
         dy = y1 - y0
         f = np.empty((7, 4, len(h)))
         f[0] = dy
         f[1] = h * k[0] - dy
         f[2] = 2.0 * dy - h * (k[N_STAGES] + k[0])
-        f[3:] = h * np.tensordot(D, k, axes=1)
+        f[3:] = [h * _stage_sum(d, k) for d in D]
         # step i's interpolant at the step fraction x is y0[i] + _basis(x) @ f[i]
         self.t0, self.t1, self.y0, self.f = t0, t1, y0.T, np.moveaxis(f, 2, 0)
 

@@ -133,6 +133,13 @@ def _check_alpha(where: str, alpha: float) -> None:
         raise ValueError(f"{where}: alpha must be finite and >= 0 (got {alpha!r})")
 
 
+def _finite_limit(where: str, value: float, m: int, alpha: float) -> float:
+    """A limit constant, or a ValueError naming (m, alpha) where it overflows a double."""
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: the limit overflows a double at m={m}, alpha={alpha!r}")
+    return value
+
+
 #: the least number of nodal regions each boundary condition admits;
 #: Neumann solutions are necessarily sign-changing
 _MIN_M = {"dirichlet": 1, "neumann": 2, "plane": 1}
@@ -446,7 +453,8 @@ def whole_plane_limits_suite(m_max: int, alpha: float = 0.0) -> list[WholePlaneL
             m=m,
             alpha=float(alpha),
             rho_lim=m0 ** (2.0 / q),
-            drv_lim=q / 2.0 * logs.D(m, m) / m0,
+            drv_lim=_finite_limit("whole_plane_limits_suite", q / 2.0 * logs.D(m, m) / m0,
+                                  m, alpha),
             delta_lim=(m0_next * logs.S(m + 1, m)) ** (2.0 / q),
             val_lim=logs.M(m + 1, m) / m0_next,
         ))
@@ -460,8 +468,10 @@ def energy_limit(m: int, alpha: float, bc: str) -> float:
     th = _theta_head(m)[-1]
     if bc == "dirichlet":
         m_last = math.exp(2.0 / (2.0 + th))
-        return (alpha + 2.0) / 8.0 * m_last**2 * (th + 2.0) ** 2
-    return (alpha + 2.0) / 8.0 * (th + 2.0) * (th - 2.0)
+        limit = (alpha + 2.0) / 8.0 * m_last**2 * (th + 2.0) ** 2
+    else:
+        limit = (alpha + 2.0) / 8.0 * (th + 2.0) * (th - 2.0)
+    return _finite_limit("energy_limit", limit, m, alpha)
 
 
 def gamma_alpha_m(alpha: float, m: int) -> float:
@@ -470,7 +480,9 @@ def gamma_alpha_m(alpha: float, m: int) -> float:
     _check_alpha("gamma_alpha_m", alpha)
     th = _theta_head(m)[-1]
     sign = 1.0 if m % 2 == 1 else -1.0
-    return sign * (alpha + 2.0) / 2.0 * math.exp(2.0 / (2.0 + th)) * (th + 2.0)
+    return _finite_limit("gamma_alpha_m",
+                         sign * (alpha + 2.0) / 2.0 * math.exp(2.0 / (2.0 + th)) * (th + 2.0),
+                         m, alpha)
 
 
 @dataclass(frozen=True)

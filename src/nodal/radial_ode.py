@@ -24,8 +24,9 @@ It keeps the solve's one record, a row per accepted step, and alone decides
 which steps hold a zero of u or of u_t, stopping at the ``m_max``-th zero.
 Zeros and critical points are located by Brent's method (``_brentq``, the
 same doubles as SciPy's ``brentq``) on DOP853's 7th-order interpolant
-(``_dop853.DenseOutput``), rebuilt over the bracketing steps only.  The
-same rebuild over every step gives the dense output: built on first use,
+(``_dop853.DenseOutput``), rebuilt over the bracketing steps only.  Over
+every step it gives each step the same interpolant, so ``eval_state`` at an
+event is the event's state; it is the dense output: built on first use,
 never pickled, evaluated on one vectorized path, on which the shell flux
 integral is the package's tanh-sinh rule (``bubbles._tanh_sinh``), one
 dense evaluation per level from level 5 on.
@@ -53,7 +54,6 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -180,7 +180,7 @@ class WholePlaneSolution:
             nodes[:, -1] = self._step_end
             t, y = nodes[0], nodes[1:]
             object.__setattr__(self, "_dense", _dop853.DenseOutput(
-                partial(_rhs_array, self.p, 2.0 + self.alpha), t[:-1], y[:, :-1], t[1:], y[:, 1:]))
+                self.p, 2.0 + self.alpha, t[:-1], y[:, :-1], t[1:], y[:, 1:]))
         flat = t_arr.ravel()
         out = np.empty((4, flat.size))
         early = flat < self.t_start
@@ -337,8 +337,7 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
 
     # one vectorized interpolant rebuild for every bracketing step
     steps = np.array(sorted({*zero_steps, *crit_steps}))
-    dense = _dop853.DenseOutput(partial(_rhs_array, p, q), t[steps], y[:, steps],
-                                t[steps + 1], y[:, steps + 1])
+    dense = _dop853.DenseOutput(p, q, t[steps], y[:, steps], t[steps + 1], y[:, steps + 1])
 
     def locate(k: int, comp: int) -> tuple[float, np.ndarray]:
         """Root of state component ``comp`` inside step k, and the state there."""

@@ -116,6 +116,16 @@ def test_constants_m1_json_no_neumann(capsys):
     assert doc["neumann"] is None
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_constants_refuse_overflowing_limit(capsys, fmt):
+    # plane_drv overflows a double at alpha = 1e308: exit 1, one line, nothing printed
+    assert run(["constants", "--m", "2", "--alpha", "1e308", "--format", fmt]) == 1
+    out, err = _capture(capsys)
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("nodal: error: whole_plane_limits_suite: the limit overflows a double "
+                          "at m=1, alpha=1e+308")
+
+
 def test_bounds_all_hold(capsys):
     assert run(["bounds", "--kmax", "8", "--mmax", "8"]) == 0
     out, _ = _capture(capsys)

@@ -307,6 +307,33 @@ def test_gamma_alpha_m():
     assert abs(cn.gamma_alpha_m(2.0, 1) - 8.0 * SQRT_E) < 1e-12
 
 
+def test_whole_plane_limits_refuse_overflow():
+    # drv_lim = (alpha+2)/2 * D/M0 overflows a double from alpha ~ 5.45e307 at m = 1,
+    # 2.47e307 at m = 2 and 4.5e305 at m = 100: a ValueError naming m and alpha
+    assert math.isfinite(cn.whole_plane_limits(1, 5e307).drv_lim)
+    assert math.isfinite(cn.whole_plane_limits_suite(100, 4e305)[-1].drv_lim)
+    with pytest.raises(ValueError, match=r"^whole_plane_limits_suite: the limit overflows a "
+                                         r"double at m=1, alpha=1e\+308$"):
+        cn.whole_plane_limits(2, 1e308)
+    with pytest.raises(ValueError, match=r"overflows a double at m=\d+, alpha=1e\+306$"):
+        cn.whole_plane_limits_suite(100, 1e306)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_energy_limit_refuses_overflow(bc):
+    assert math.isfinite(cn.energy_limit(2, 1e300, bc))
+    with pytest.raises(ValueError, match=r"^energy_limit: the limit overflows a double at "
+                                         r"m=2, alpha=1\.79e\+308$"):
+        cn.energy_limit(2, 1.79e308, bc)
+
+
+def test_gamma_alpha_m_refuses_overflow():
+    assert math.isfinite(cn.gamma_alpha_m(1e300, 3))
+    with pytest.raises(ValueError, match=r"^gamma_alpha_m: the limit overflows a double at "
+                                         r"m=3, alpha=1\.7e\+308$"):
+        cn.gamma_alpha_m(1.7e308, 3)
+
+
 def test_theta_bounds_check():
     rep = cn.theta_bounds_check(1)
     assert rep.lower == 10.0 and rep.upper == 12.0 and rep.holds

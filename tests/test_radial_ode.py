@@ -347,6 +347,43 @@ def test_events_match_frozen_reference(key):
         assert np.all(np.abs(w.log_crit - crit) <= 1e-11 * np.abs(crit))
 
 
+#: the keys of test_scipy_oracle.KEYS: small and huge p, the three weights,
+#: and (200, 0, 30), whose bracketing rebuild spans 59 steps
+_ORACLE_KEYS = [(50.0, 0.0, 3), (200.0, 1.0, 4), (400.0, 0.0, 4), (1e4, 0.0, 3),
+                (1234.5, 1.0, 4), (3.0, 2.0, 5), (1e8, 0.0, 4), (200.0, 0.0, 30)]
+
+
+@pytest.mark.parametrize("key", _ORACLE_KEYS, ids=str)
+def test_step_interpolant_depends_on_that_step_alone(key, monkeypatch):
+    # the bracketing rebuild of _solve_impl, and a rebuild of a random subset
+    # of steps, give the same coefficients as those steps of a full rebuild
+    records, rebuilds = [], []
+    stepper, dense = _dop853.solve_to_zeros, _dop853.DenseOutput
+    monkeypatch.setattr(_dop853, "solve_to_zeros",
+                        lambda *args: records.append(stepper(*args)) or records[-1])
+    monkeypatch.setattr(_dop853, "DenseOutput",
+                        lambda *args: rebuilds.append(dense(*args)) or rebuilds[-1])
+    ro._solve_impl(*key, ro.default_tolerance())
+    [(rows, zero_steps, crit_steps, _)], [bracket] = records, rebuilds
+    nodes = np.array(rows).T
+    t, y = nodes[0], nodes[1:]
+    p, q = key[0], 2.0 + key[1]
+    full = dense(p, q, t[:-1], y[:, :-1], t[1:], y[:, 1:])
+    steps = np.array(sorted({*zero_steps, *crit_steps}))
+    assert bracket.t0.tobytes() == t[steps].tobytes()
+    assert bracket.f.tobytes() == full.f[steps].tobytes()
+    subset = np.sort(np.random.default_rng(17).choice(len(t) - 1, len(t) // 3, replace=False))
+    part = dense(p, q, t[subset], y[:, subset], t[subset + 1], y[:, subset + 1])
+    assert part.f.tobytes() == full.f[subset].tobytes()
+
+
+@pytest.mark.parametrize("key", _ORACLE_KEYS, ids=str)
+def test_events_read_the_same_double_as_eval_state(key):
+    w = ro.solve_whole_plane(*key)
+    assert w.eval_state(w.log_zeros).T.tobytes() == w.zero_states.tobytes()
+    assert w.eval_state(w.log_crit).T.tobytes() == w.crit_states.tobytes()
+
+
 def test_dense_output_reproduces_nodes():
     w = ro.solve_whole_plane(120.0, 1.0, 3)
     state = w.eval_state(w.t)
@@ -357,9 +394,7 @@ def test_dense_output_reproduces_nodes():
     mid = np.concatenate([[w.t_start - 2.0], 0.5 * (w.t[1:] + w.t[:-1])])
     by_point = np.column_stack([w.eval_state(float(x)) for x in mid])
     assert w.eval_state(float(mid[1])).shape == (4,)
-    by_array = w.eval_state(mid)
-    scale = np.max(np.abs(by_array), axis=1, keepdims=True)
-    assert np.all(np.abs(by_point - by_array) <= 1e-14 * scale)
+    assert by_point.tobytes() == w.eval_state(mid).tobytes()
     # the trajectory ends at the last zero, like a terminal event
     assert w.t_end == w.log_zeros[-1]
     with pytest.raises(ValueError):

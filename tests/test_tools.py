@@ -49,3 +49,27 @@ def test_cli_wall_invocations_parse_as_commands(monkeypatch):
         args = parser.parse_args(argv)  # exits, failing the test, on an unknown option
         assert args.fn is not None, argv
     assert cw.ROUNDS >= 10
+
+
+def _cli_numdiff(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("cli_numdiff", _CLI_BYTES.with_name(
+        "cli_numdiff.py"))
+    cn = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cn)  # defines the comparison only; no process starts
+    return cn
+
+
+def test_cli_numdiff_compares_tokens(monkeypatch):
+    compare = _cli_numdiff(monkeypatch).compare
+    assert compare("p,u\n50,0.25\n", "p,u\n50,0.25\n") == "same"
+    # two numbers differ, by about 1e-15 and 3.3e-11 relative
+    assert compare("a 1.000000000000001 [2.0, 3e5]", "a 1.0 [2.0, 3.0000000001e5]") == \
+        "2 tokens, max rel 3.3e-11"
+    assert compare('{"x": 0.0}', '{"x": -0.0}') == "1 tokens, max rel 0"
+    # a word, a non-finite number, or a different token count is not a numeric change
+    assert compare("holds true", "holds false") == "non-numeric"
+    assert compare("x,1e308", "x,inf") == "non-numeric"
+    assert compare("1 2 3", "1 2") == "non-numeric"
+    assert compare("nodal: error: at m=1 (got 1e+308)", "nodal: error: at m=2 (got 1e+308)") \
+        == "non-numeric"

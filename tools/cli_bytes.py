@@ -11,6 +11,9 @@ contents), and the command line.  Two checkouts compare with ``diff``:
     python tools/cli_bytes.py path/to/new/src > new.txt
     diff old.txt new.txt
 
+``tools/cli_numdiff.py`` runs the same list in two checkouts and says, for
+each invocation, how far apart the numbers of the two outputs are.
+
 The list covers all six commands, both formats, ``--out`` for every command,
 the ``--help`` texts (at ``COLUMNS=80``), and the documented exit-1 and
 exit-2 cases.
@@ -49,6 +52,7 @@ INVOCATIONS = [
     ["constants", "--m", "2.5"],
     ["constants", "--m=--"],
     ["constants", "--m", "3", "--alpha", "-1"],
+    ["constants", "--m", "2", "--alpha", "1e308"],
     # bounds
     ["bounds", "--kmax", "777", "--mmax", "61"],
     ["bounds", "--kmax", "40", "--mmax", "12", "--format", "json"],
@@ -107,18 +111,17 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _files_digest(root: Path) -> str:
+def _files_digest(files: dict[str, bytes]) -> str:
     """SHA-256 over the relative path and contents of each file a command wrote."""
     h = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        rel = path.relative_to(root).as_posix()
-        if rel not in CONFIGS:
-            h.update(rel.encode() + b"\0" + _sha(path.read_bytes()).encode() + b"\n")
+    for rel, data in files.items():
+        h.update(rel.encode() + b"\0" + _sha(data).encode() + b"\n")
     return h.hexdigest()
 
 
-def run_one(src: Path, argv: list[str]) -> str:
-    """One invocation in a fresh process and working directory, as one line."""
+def run_raw(src: Path, argv: list[str]) -> tuple[int, bytes, bytes, dict[str, bytes]]:
+    """One invocation in a fresh process and working directory: the exit
+    code, stdout, stderr, and the files the command wrote by relative path."""
     env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")  # one help width
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -126,9 +129,19 @@ def run_one(src: Path, argv: list[str]) -> str:
             (root / name).write_text(text, encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "nodal.cli", *argv], cwd=root, env=env,
                               capture_output=True, timeout=600, check=False)
-        return (f"exit={proc.returncode} stdout={_sha(proc.stdout)} "
-                f"stderr={_sha(proc.stderr)} files={_files_digest(root)} "
-                f"nodal {' '.join(argv)}")
+        written = {}
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            rel = path.relative_to(root).as_posix()
+            if rel not in CONFIGS:
+                written[rel] = path.read_bytes()
+    return proc.returncode, proc.stdout, proc.stderr, written
+
+
+def run_one(src: Path, argv: list[str]) -> str:
+    """One invocation's digest line."""
+    code, out, err, files = run_raw(src, argv)
+    return (f"exit={code} stdout={_sha(out)} stderr={_sha(err)} files={_files_digest(files)} "
+            f"nodal {' '.join(argv)}")
 
 
 def main(argv: list[str]) -> int:
