@@ -156,11 +156,11 @@ class StepFailure(RuntimeError):
     """The stepper stopped short: its message is DOP853's reason."""
 
 
-def solve_to_zeros(p: float, q: float, t: float, y: list[float], t_end: float, rtol: float,
-                   atol: float, nmax: int, n_zeros: int
+def solve_to_zeros(p: float, q: float, t: float, y: list[float], t_end: float, hmax: float,
+                   rtol: float, atol: float, nmax: int, n_zeros: int
                    ) -> tuple[list[list[float]], list[int], list[int], tuple]:
-    """Integrate the radial system ``y = (u, u_t, Eg, Ep)`` from t towards
-    ``t_end > t`` until u has changed sign ``n_zeros`` times.
+    """Integrate the radial system ``y = (u, u_t, Eg, Ep)`` from t, in steps
+    of at most ``hmax``, until u has changed sign ``n_zeros`` times.
 
     The right-hand side, ``(u_t, -e^(q t) |u|^(p-1) u, u_t^2, e^(q t) |u|^(p+1))``
     with the branches of ``radial_ode._rhs_array``, is evaluated inline at
@@ -171,7 +171,8 @@ def solve_to_zeros(p: float, q: float, t: float, y: list[float], t_end: float, r
     which u_t changes sign by the same rule, from the first zero step on
     (before it a sign change of u_t is roundoff on the flat start); and the
     counters (nfcn, nstep, naccpt, nrejct).  The record stops at the step
-    holding the ``n_zeros``-th sign change, or at ``t_end``.  Raises
+    holding the ``n_zeros``-th sign change, or at the first step that ends
+    past ``t_end``, which shapes no step.  Raises
     StepFailure past ``nmax`` steps, when the step size is 0 or falls below
     the roundoff of t, or when the problem turns stiff.
     """
@@ -194,7 +195,6 @@ def solve_to_zeros(p: float, q: float, t: float, y: list[float], t_end: float, r
     tiny, lo, cap, ecap = _U_FLOOR, _EXP_FLOOR, _EXP_CAP, math.exp(_EXP_CAP)
     expo1 = 1.0 / 8.0 - _BETA * 0.2
     facc1, facc2 = 1.0 / _FAC1, 1.0 / _FAC2
-    hmax = t_end - t
 
     # Each stage below is the right-hand side at (ts, su, sv), written out:
     # k_u = sv, k_v = -f, k_g = sv^2, k_p = g, where f = e^ex sign(su) and
@@ -245,7 +245,7 @@ def solve_to_zeros(p: float, q: float, t: float, y: list[float], t_end: float, r
     h = min(100 * abs(h), h1, hmax)
 
     nfcn, nstep, naccpt, nrejct = 2, 0, 0, 0
-    facold, reject, last = 1.0e-4, False, False
+    facold, reject = 1.0e-4, False
     iasti = nonsti = 0
     hlamb = 0.0
     rows = [[t, u, v, eg, ep]]
@@ -256,9 +256,6 @@ def solve_to_zeros(p: float, q: float, t: float, y: list[float], t_end: float, r
             raise StepFailure("larger nsteps is needed")
         if 0.1 * abs(h) <= abs(t) * _UROUND:
             raise StepFailure("step size becomes too small")
-        if t + 1.01 * h - t_end > 0.0:
-            h = t_end - t
-            last = True
         nstep += 1
 
         su, k2u = u + h * a21 * k1u, v + h * a21 * k1v
@@ -472,9 +469,7 @@ def solve_to_zeros(p: float, q: float, t: float, y: list[float], t_end: float, r
                 crit_steps.append(naccpt - 1)
             t, u, v, eg, ep = tph, nu, nv, ng, np_
             rows.append([t, u, v, eg, ep])
-            if len(zero_steps) == n_zeros:
-                break
-            if last:
+            if len(zero_steps) == n_zeros or t > t_end:
                 break
             if abs(hnew) > hmax:
                 hnew = hmax
@@ -488,7 +483,6 @@ def solve_to_zeros(p: float, q: float, t: float, y: list[float], t_end: float, r
             reject = True
             if naccpt >= 1:
                 nrejct += 1
-            last = False
         h = hnew
     return rows, zero_steps, crit_steps, (nfcn, nstep, naccpt, nrejct)
 

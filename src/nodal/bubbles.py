@@ -233,21 +233,23 @@ def profile_samples(spec: BubbleSpec, r_grid: np.ndarray) -> np.ndarray:
 def _integrate_weighted(spec: BubbleSpec) -> tuple[float, float]:
     """``int exp(Z(s)) s^(alpha+1) ds`` below and above the split radius.
 
-    In y = (alpha+2)/2 ln s the integrand is 2/(alpha+2) exp(Z + 2y): a
-    bump of height theta^2/2 at y = ln beta that decays like
-    exp(-theta |y - ln beta|) on both sides, for every alpha.  The split
-    is sigma_i for i >= 1 and beta_0^(2/(alpha+2)) for i = 0, taken as logs
-    in y (the radius itself rounds to 1 for huge alpha).  Each side is
-    cut ``_TAIL_EFOLDS``/theta beyond the split or the peak, and the sums
-    stay O(theta): the factor 2/(alpha+2) is applied after them.
+    In y = (alpha+2)/2 ln s the integrand is 2/(alpha+2) exp(Z + 2y), and
+    exp(Z + 2y) = 2 theta^2 e^x/(1 + e^x)^2 = theta^2/(1 + cosh x), x = theta
+    (y - ln beta): a bump of height theta^2/2 at y = ln beta that decays like
+    e^-|x| on both sides, for every alpha.  Summed in that form, not from Z,
+    it is free of the theta ln theta cancellation that kept the rule from
+    closing at i = 10^4.  The split is sigma_i for i >= 1 and
+    beta_0^(2/(alpha+2)) for i = 0, taken as logs in y (the radius itself
+    rounds to 1 for huge alpha).  Each side is cut ``_TAIL_EFOLDS``/theta
+    beyond the split or the peak, and the sums stay O(theta): the factor
+    2/(alpha+2) is applied after them.
     """
     th, q = spec.theta_i, spec.alpha + 2.0
     y_split = spec.log_beta if spec.i == 0 else 0.5 * math.log((th * th - 4.0) / 2.0)
     lo = min(spec.log_beta, y_split) - _TAIL_EFOLDS / th
     hi = max(spec.log_beta, y_split) + _TAIL_EFOLDS / th
-    parts, err, done = _tanh_sinh(
-        lambda y: np.exp(_profile_from_logr(spec, 2.0 * y / q) + 2.0 * y),
-        [lo, y_split], [y_split, hi])
+    parts, err, done = _tanh_sinh(lambda y: th * th / (1.0 + np.cosh(th * (y - spec.log_beta))),
+                                  [lo, y_split], [y_split, hi])
     inner, outer = parts.tolist()
     total = inner + outer
     if not (done.all() and math.isfinite(total) and total > 0.0):

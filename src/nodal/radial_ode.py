@@ -14,14 +14,14 @@ every boundary condition at fixed (p, alpha).  A disc solution is a view
 of that trajectory; its values are scaled to the disc only when read.
 
 The energies are carried as augmented quadrature states.  All of DOP853
-lives in ``nodal._dop853``: its stepper runs on plain floats, evaluates
-the right-hand side inline at each stage (``_rhs_array`` is its array
-form, and the constants of its branches are defined here, once), and
-takes the same steps as SciPy's ``ode('dop853')`` bit for bit,
-PI-controlled (Gustafsson, ACM TOMS 17, 1991) with ``beta = 0.04``, which
-halves the rejected steps.
-It keeps the solve's one record, a row per accepted step, and alone decides
-which steps hold a zero of u or of u_t, stopping at the ``m_max``-th zero.
+lives in ``nodal._dop853``, PI-controlled (Gustafsson, ACM TOMS 17, 1991)
+with ``beta = 0.04``, which halves the rejected steps; ``_rhs_array`` is
+the array form of the right-hand side its stepper evaluates inline, and the
+constants of its branches are defined here, once.  The stepper keeps the
+solve's one record, a row per accepted step, and alone decides which steps
+hold a zero of u or of u_t, stopping at the ``m_max``-th zero; its step
+bound depends on (p, alpha) alone and its t cap only stops a run, so a
+solve to m zeros is the first m zeros of a solve to more, bit for bit.
 Zeros and critical points are located by Brent's method (``_brentq``, the
 same doubles as SciPy's ``brentq``) on DOP853's 7th-order interpolant
 (``_dop853.DenseOutput``), rebuilt over the bracketing steps only.  Over
@@ -32,12 +32,10 @@ integral is the package's tanh-sinh rule (``bubbles._tanh_sinh``), one
 dense evaluation per level from level 5 on.
 
 Every solve goes through :func:`prefetch_solutions`, which returns its
-solutions and is the one place that writes the memo;
-:func:`solve_whole_plane` is a batch of one.  Batches share one process
-pool per process: forked by the first batch that needs more than one
-worker, reused by later batches, replaced when a batch asks for another
-worker count or when the pool breaks, and shut down at interpreter exit
-(a worker whose parent process has gone exits too).
+solutions, runs batches on the process's one solve pool, and is the one
+place that writes the memo: one solve per (p, alpha, tol), the one with
+the most zeros, cut by ``_prefix`` at each m_max asked of it;
+:func:`solve_whole_plane` is a batch of one.
 
 No process loads SciPy.  ``_dop853`` is imported only where the solver
 runs, in ``_solve_impl`` and ``WholePlaneSolution.eval_state``: compiling
@@ -53,7 +51,7 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -226,14 +224,14 @@ def _rhs_array(p: float, q: float, t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _solve_key(p: float, alpha: float, m_max: int, tol: float) -> tuple:
-    """Validated memo key (p, alpha, m_max, tol) of one whole-plane solve."""
+    """Validated request (p, alpha, m_max, tol) for one whole-plane solution."""
     _check_p("solve_whole_plane", p)
     _check_alpha("solve_whole_plane", alpha)
     _check_count("solve_whole_plane", "m_max", m_max, 1)
     return (float(p), float(alpha), int(m_max), tol)
 
 
-_CACHE: dict[tuple, WholePlaneSolution] = {}
+_CACHE: dict[tuple, WholePlaneSolution] = {}  # (p, alpha, tol) -> the most zeros solved
 _CACHE_MAX = 64
 
 
@@ -246,8 +244,8 @@ def solve_whole_plane(
     zeros and the critical points strictly between them are located by
     root finding on the interpolant of the bracketing step
     (machine-accurate in t).  This is a batch of one for
-    :func:`prefetch_solutions`, solved in-process; results are immutable
-    and memoized on (p, alpha, m_max, tol).
+    :func:`prefetch_solutions`, solved in-process; results are immutable,
+    and the memo serves every m_max up to the most solved at (p, alpha, tol).
 
     Raises
     ------
@@ -308,10 +306,12 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
     from . import _dop853
 
     q = 2.0 + alpha
-    # predicted location of the last zero, with 20% margin plus slack for small p
-    ln_m0 = math.log(m0_product_formula(m_max - 1))
-    t_cap = 1.2 * (p - 1.0) / q * ln_m0 + 25.0
     t0 = math.log(_START_COEFF) / q
+    # the run stops past t_cap, the last zero's predicted place with 20% margin plus
+    # slack for small p; the step bound, 4 times one zero's span, depends on (p, alpha)
+    slope = 1.2 * (p - 1.0) / q
+    t_cap = slope * math.log(m0_product_formula(m_max - 1)) + 25.0
+    hmax = 4.0 * (slope * math.log(m0_product_formula(0)) + 25.0 - t0)
     try:
         y0 = _series_state(p, alpha, np.array([t0]))[:, 0]
     except OverflowError:  # (2 + alpha)**5 in the series, from alpha ~ 4.6e61 up
@@ -321,7 +321,8 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
     # of each step (node k -> k + 1) that holds a sign change of u or of u_t
     try:
         rows, zero_steps, crit_steps, _ = _dop853.solve_to_zeros(
-            p, q, t0, y0.tolist(), t_cap, max(tol * 1e-2, 1e-13), tol * 1e-4, _MAX_STEPS, m_max)
+            p, q, t0, y0.tolist(), t_cap, hmax, max(tol * 1e-2, 1e-13), tol * 1e-4,
+            _MAX_STEPS, m_max)
     except _dop853.StepFailure as exc:
         raise SolverError(
             f"step controller failed: dop853: {exc} (p={p}, alpha={alpha})") from None
@@ -348,20 +349,17 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
 
     lam, zero_states = map(np.array, zip(*(locate(k, 0) for k in zero_steps)))
 
-    crits = [locate(k, 1) for k in crit_steps]
-    tau_all = np.array([c[0] for c in crits])
-    log_crit = np.empty(m_max - 1)
-    crit_states = np.empty((m_max - 1, 4))
+    crits, picked = [locate(k, 1) for k in crit_steps], []
     for j in range(m_max - 1):
-        mask = (tau_all > lam[j]) & (tau_all < lam[j + 1])
-        if int(mask.sum()) != 1:
+        inside = [c for c in crits if lam[j] < c[0] < lam[j + 1]]
+        if len(inside) != 1:
             raise SolverError(
                 f"expected exactly one critical point between zeros {j + 1} and "
-                f"{j + 2}, found {int(mask.sum())} (p={p}, alpha={alpha})"
+                f"{j + 2}, found {len(inside)} (p={p}, alpha={alpha})"
             )
-        k = int(np.flatnonzero(mask)[0])
-        log_crit[j] = tau_all[k]
-        crit_states[j] = crits[k][1]
+        picked += inside
+    log_crit = np.array([c[0] for c in picked])
+    crit_states = np.array([c[1] for c in picked]).reshape(-1, 4)
 
     vals = np.abs(crit_states[:, 0])
     if np.any(vals >= 1.0) or np.any(np.diff(vals) >= 0.0):
@@ -370,24 +368,23 @@ def _solve_impl(p: float, alpha: float, m_max: int, tol: float) -> WholePlaneSol
             f"(p={p}, alpha={alpha}): {vals}"
         )
 
-    # end at the last zero, as a terminal event would; a copy keeps the step's end
-    step_end = nodes[:, -1].copy()
-    nodes[0, -1], nodes[1:, -1] = lam[-1], zero_states[-1]
-    return WholePlaneSolution(
-        p=float(p),
-        alpha=float(alpha),
-        m_max=int(m_max),
-        tol=tol,
-        t=nodes[0],
-        u=nodes[1],
-        ut=nodes[2],
-        log_zeros=lam,
-        zero_states=zero_states,
-        log_crit=log_crit,
-        crit_states=crit_states,
-        _energy=nodes[3:],
-        _step_end=step_end,
-    )
+    return _prefix(WholePlaneSolution(
+        p=float(p), alpha=float(alpha), m_max=int(m_max), tol=tol, t=nodes[0], u=nodes[1],
+        ut=nodes[2], log_zeros=lam, zero_states=zero_states, log_crit=log_crit,
+        crit_states=crit_states, _energy=nodes[3:], _step_end=nodes[:, -1]), m_max)
+
+
+def _prefix(w: WholePlaneSolution, m: int) -> WholePlaneSolution:
+    """w cut at its m-th zero, as a terminal event would end a solve to m zeros: the
+    nodes through the step holding the zero, the last moved onto it, and the step's
+    end kept for its interpolant."""
+    n = int(np.searchsorted(w.t, w.log_zeros[m - 1])) + 1
+    nodes = np.vstack([w.t[:n], w.u[:n], w.ut[:n], w._energy[:, :n]])
+    step_end = (w._step_end if n == len(w.t) else nodes[:, -1]).copy()
+    nodes[0, -1], nodes[1:, -1] = w.log_zeros[m - 1], w.zero_states[m - 1]
+    return replace(w, m_max=m, t=nodes[0], u=nodes[1], ut=nodes[2], _energy=nodes[3:], _dense=None,
+                   _step_end=step_end, log_zeros=w.log_zeros[:m], zero_states=w.zero_states[:m],
+                   log_crit=w.log_crit[:m - 1], crit_states=w.crit_states[:m - 1])
 
 
 #: the process's one solve pool and its worker count (see prefetch_solutions);
@@ -456,12 +453,16 @@ def prefetch_solutions(
     """Solve a batch of (p, alpha, m_max) jobs, concurrently when possible,
     and return their solutions in the order of ``params``.
 
-    This is the one way into the solver and the one writer of the memo:
-    every key is validated, memo hits are taken as they are, and each
-    other distinct key is solved once; the new solutions enter the memo in
-    key order.  Errors raised by a solve propagate unchanged, the first in
-    key order, and the solutions before it stay memoized.  ``workers``
-    defaults to one per job up to the CPU count; it must be an integer >= 1.
+    This is the one way into the solver and the one writer of the memo,
+    which holds one solve per (p, alpha, tol), the one with the most zeros.
+    Every job is validated; each (p, alpha) the memo cannot serve is solved
+    once, at the batch's largest m_max for it, and the new solves enter the
+    memo in key order.  A job gets that solve cut at its m_max-th zero (the
+    solve itself at its own m_max), the same doubles as a solve to m_max
+    zeros.  Errors raised by a solve propagate unchanged, the first in key
+    order, and the solutions before it stay memoized; a solve that fails at
+    a batch's largest m_max fails every job for that (p, alpha).  ``workers``
+    defaults to one per solve up to the CPU count; it must be an integer >= 1.
 
     A batch with more than one worker runs on the process's one solve
     pool: forked by the first such batch and reused by later ones,
@@ -482,8 +483,11 @@ def prefetch_solutions(
         tol = default_tolerance()
     _check_tol("prefetch_solutions", tol)
     keys = [_solve_key(p, alpha, m_max, float(tol)) for p, alpha, m_max in params]
-    found = {key: _CACHE[key] for key in keys if key in _CACHE}
-    misses = sorted(set(keys) - found.keys())
+    # in key order, so each (p, alpha, tol) keeps its largest m_max
+    most = {(p, alpha, tol): m_max for p, alpha, m_max, tol in sorted(keys)}
+    found = {key: w for key, m_max in most.items() if (w := _CACHE.get(key)) and w.m_max >= m_max}
+    misses = [(p, alpha, m_max, tol) for (p, alpha, tol), m_max in most.items()
+              if (p, alpha, tol) not in found]
     if misses:
         if workers is None:
             workers = min(len(misses), os.cpu_count() or 1)
@@ -491,13 +495,15 @@ def prefetch_solutions(
             futures, how = (_solve_on_pool(misses, workers) if workers > 1
                             else (None, "sequentially (one worker)"))
             _LOG.debug("prefetch_solutions: %d jobs %s", len(misses), how)
-            solved = ((_solve_impl(*key) for key in misses) if futures is None
+            solved = ((_solve_impl(*job) for job in misses) if futures is None
                       else (future.result() for future in futures))
-            for key, sol in zip(misses, solved):
+            for (p, alpha, _, tol), sol in zip(misses, solved):
+                _CACHE.pop((p, alpha, tol), None)  # a solve to fewer zeros gives way
                 if len(_CACHE) >= _CACHE_MAX:
                     _CACHE.pop(next(iter(_CACHE)))
-                _CACHE[key] = found[key] = sol
-    return [found[key] for key in keys]
+                _CACHE[p, alpha, tol] = found[p, alpha, tol] = sol
+    return [w if (w := found[p, alpha, tol]).m_max == m else _prefix(w, m)
+            for p, alpha, m, tol in keys]
 
 
 @dataclass(frozen=True)
@@ -674,12 +680,8 @@ def henon_crosscheck(
     wa = solve_whole_plane(w0.p, alpha, w0.m_max, tol if tol is not None else w0.tol)
     shift = math.log((alpha + 2.0) / 2.0)
     scale = 2.0 / (alpha + 2.0)
-    mapped_zeros = scale * (w0.log_zeros + shift)
-    mapped_crit = scale * (w0.log_crit + shift)
-    res = float(np.max(np.abs(mapped_zeros - wa.log_zeros)))
-    if len(mapped_crit):
-        res = max(res, float(np.max(np.abs(mapped_crit - wa.log_crit))))
-    return res
+    mapped = scale * (np.concatenate([w0.log_zeros, w0.log_crit]) + shift)
+    return float(np.max(np.abs(mapped - np.concatenate([wa.log_zeros, wa.log_crit]))))
 
 
 @dataclass(frozen=True)

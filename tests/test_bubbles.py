@@ -105,12 +105,13 @@ def test_split_integrals():
         assert abs(split.inner + split.outer - 2.0 * th[i]) <= 1e-8 * th[i]
 
 
-@pytest.mark.parametrize("i", [*range(41), 100, 1000])
+@pytest.mark.parametrize("i", [*range(41), 100, 1000, 10_000])
 def test_mass_and_split_closed_forms_to_roundoff(i):
     # the mass 8 pi theta/(alpha+2) for alpha from 0 to the largest alpha with
     # a finite (alpha+2)*theta, and the split theta -+ 2, each from the
-    # quadrature at its full precision
-    tol = 5e-11 if i == 1000 else 1e-12
+    # quadrature at its full precision; i = 10^4 closes because the integrand
+    # is summed as theta^2 / (1 + cosh x), free of terms of size theta ln theta
+    tol = 5e-11 if i >= 1000 else 1e-12
     th = bb.bubble_spec(i).theta_i
     edge = sys.float_info.max / th
     while not math.isfinite((edge + 2.0) * th):
@@ -130,7 +131,7 @@ def test_mass_and_split_closed_forms_to_roundoff(i):
 
 
 @pytest.mark.parametrize("call", [
-    # round-off in the profile's terms of size theta ln theta keeps the level sums apart
+    # round-off in x = theta (y - ln beta), theta times an ulp of y, keeps the level sums apart
     pytest.param(lambda: bb.bubble_split_integrals(bb.bubble_spec(100000)), id="split"),
 ])
 def test_underflowed_quadrature_raises(call):

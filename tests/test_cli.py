@@ -569,7 +569,7 @@ def test_bubble_quadrature_failure_prints_one_line():
     # warning of the failed quadrature would add a line to stderr
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-m", "nodal.cli", "bubble", "--i", "10000"],
+    proc = subprocess.run([sys.executable, "-m", "nodal.cli", "bubble", "--i", "100000"],
                           capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("nodal: numerical failure: bubble quadrature did not converge")
@@ -1097,11 +1097,14 @@ def _counted_solve(*key):
     return _REAL_SOLVE(*key)
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_solves_each_key_once(tmp_path, workers):
+@pytest.mark.parametrize("workers, m, m_max", [("1", "1", 1), ("2", "1", 1), ("1", "1..3", 3),
+                                               ("2", "1..3", 3)],
+                         ids=["1", "2", "1-m1..3", "2-m1..3"])
+def test_sweep_solves_each_key_once(tmp_path, workers, m, m_max):
+    # an m range is solved once per (p, alpha), at its largest m
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("p = 20..89\nm = 1\nalpha = 0\nbc = dirichlet\n", encoding="utf-8")
-    keys = [(float(p), 0.0, 1, ro.default_tolerance()) for p in range(20, 90)]
+    cfg.write_text(f"p = 20..89\nm = {m}\nalpha = 0\nbc = dirichlet\n", encoding="utf-8")
+    keys = [(float(p), 0.0, m_max, ro.default_tolerance()) for p in range(20, 90)]
     assert len(keys) > ro._CACHE_MAX
     _IN_PROCESS_SOLVES.clear()
     ro._close_pool()  # a pool forked under the patch below would keep it
@@ -1113,7 +1116,7 @@ def test_sweep_solves_each_key_once(tmp_path, workers):
     finally:
         ro._close_pool()
     assert code == 0
-    assert len(json.loads((tmp_path / "out" / "index.json").read_text())) == len(keys)
+    assert len(json.loads((tmp_path / "out" / "index.json").read_text())) == m_max * len(keys)
     assert sorted(_IN_PROCESS_SOLVES) == (keys if workers == "1" else [])
 
 

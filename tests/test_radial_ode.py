@@ -821,7 +821,7 @@ def test_prefetch_propagates_worker_errors(closed_pool, monkeypatch, tmp_path):
 def test_prefetch_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
         ro.prefetch_solutions([(96.5, 0.0, 1)], workers=workers)
-    assert (96.5, 0.0, 1, ro.default_tolerance()) not in ro._CACHE
+    assert (96.5, 0.0, ro.default_tolerance()) not in ro._CACHE
 
 
 def test_prefetch_falls_back_when_pool_unavailable(closed_pool, monkeypatch, caplog):
@@ -834,7 +834,7 @@ def test_prefetch_falls_back_when_pool_unavailable(closed_pool, monkeypatch, cap
         ro.prefetch_solutions(params, workers=2)
     assert "NotImplementedError: no process support" in caplog.text
     for p, alpha, m in params:
-        assert (p, alpha, m, ro.default_tolerance()) in ro._CACHE
+        assert ro._CACHE[p, alpha, ro.default_tolerance()].m_max == m
 
 
 def _batch_records(caplog) -> list[str]:
@@ -859,7 +859,7 @@ def test_prefetch_reuses_pool_workers(closed_pool, caplog):
         "prefetch_solutions: 2 jobs sequentially (one worker)",
     ]
     for p in (101.5, 102.5, 103.5, 104.5, 105.5, 106.5, 107.5):
-        assert (p, 0.0, 1, ro.default_tolerance()) in ro._CACHE
+        assert (p, 0.0, ro.default_tolerance()) in ro._CACHE
 
 
 def test_prefetch_replaces_pool_on_new_worker_count(closed_pool, caplog):
@@ -888,8 +888,8 @@ def test_prefetch_recovers_from_killed_worker(closed_pool, caplog):
         ro.prefetch_solutions([(117.5, 0.0, 2), (118.5, 0.0, 2)], workers=2)
     assert broken.startswith("prefetch_solutions: 2 jobs sequentially (process pool "
                              "unavailable or broken, BrokenProcessPool: ")
-    for key in keys:
-        _assert_same_solution(ro._CACHE[key], ro._solve_impl(*key))
+    for p, alpha, m, tol in keys:
+        _assert_same_solution(ro._CACHE[p, alpha, tol], ro._solve_impl(p, alpha, m, tol))
     assert _batch_records(caplog)[1:] == [
         "prefetch_solutions: 2 jobs on the newly forked pool of 2 workers"]
     assert ro._POOL is not pool and len(ro._POOL._processes) == 2
@@ -941,9 +941,9 @@ def test_prefetch_solves_the_whole_batch_in_process_when_a_worker_dies(
     # none of them is kept: every key is solved in-process once
     assert sorted(mark.name for mark in tmp_path.glob("done_*")) == ["done_125.5", "done_126.5"]
     assert sorted((tmp_path / "in_process.txt").read_text().split()) == ["125.5", "126.5", "127.5"]
-    for key, sol in zip(keys, sols):
-        assert ro._CACHE[key] is sol
-        _assert_same_solution(sol, _REAL_SOLVE(*key))
+    for (p, alpha, m, tol), sol in zip(keys, sols):
+        assert ro._CACHE[p, alpha, tol] is sol
+        _assert_same_solution(sol, _REAL_SOLVE(p, alpha, m, tol))
     [record] = _batch_records(caplog)
     assert record.startswith("prefetch_solutions: 3 jobs sequentially (process pool "
                              "unavailable or broken, BrokenProcessPool: ")
@@ -1077,7 +1077,7 @@ def test_prefetch_returns_solutions_in_params_order(closed_pool, caplog, workers
     assert [(w.p, w.alpha, w.m_max) for w in sols] == params
     assert sols[1] is hit and sols[4] is hit and sols[0] is sols[3]
     for (p, alpha, m), w in zip(params, sols):
-        assert ro._CACHE[(p, alpha, m, ro.default_tolerance())] is w
+        assert ro._CACHE[p, alpha, ro.default_tolerance()] is w
         _assert_same_solution(w, ro._solve_impl(p, alpha, m, ro.default_tolerance()))
     assert _batch_records(caplog) == [
         "prefetch_solutions: 2 jobs sequentially (one worker)" if workers == 1
@@ -1093,6 +1093,39 @@ def test_prefetch_all_hits_log_nothing_and_fork_no_pool(closed_pool, caplog):
     assert [id(w) for w in again] == [id(first[0]), id(first[1]), id(first[0])]
     assert one is first[1]
     assert _batch_records(caplog) == [] and ro._POOL is None
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 10.0, 40.0, 77.5, 200.0, 1000.0, 1e4])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+def test_every_m_is_a_prefix_of_one_solve(p, alpha, monkeypatch):
+    # the step bound and the first step do not depend on m_max, and t_cap
+    # only stops a run: a solve to m zeros is the first m zeros of one to
+    # more, bit for bit, and the memo serves each m from one m = 6 solve
+    tol, ms = ro.default_tolerance(), (1, 2, 3, 5)
+    solves = []
+    monkeypatch.setattr(ro, "_CACHE", {})
+    monkeypatch.setattr(ro, "_solve_impl", lambda *job: solves.append(job) or _REAL_SOLVE(*job))
+    views = ro.prefetch_solutions([(p, alpha, 6), *((p, alpha, m) for m in ms)], workers=1)
+    assert solves == [(p, alpha, 6, tol)]
+    for m, view in zip(ms, views[1:]):
+        direct = _REAL_SOLVE(p, alpha, m, tol)
+        assert view.m_max == m
+        _assert_same_solution(view, direct)
+        assert view._energy.tobytes() == direct._energy.tobytes()
+        assert view._step_end.tobytes() == direct._step_end.tobytes()
+        t = np.linspace(direct.t_start, direct.t_end, 257)
+        assert view.eval_state(t).tobytes() == direct.eval_state(t).tobytes()
+
+
+def test_prefetch_solves_each_p_alpha_once_at_its_largest_m(monkeypatch):
+    solves = []
+    monkeypatch.setattr(ro, "_solve_impl", lambda *job: solves.append(job) or _REAL_SOLVE(*job))
+    sols = ro.prefetch_solutions([(88.25, 0.0, 6), (88.25, 0.0, 1), (88.25, 0.0, 3)], workers=1)
+    assert solves == [(88.25, 0.0, 6, ro.default_tolerance())]
+    assert [w.m_max for w in sols] == [6, 1, 3]
+    assert ro._CACHE[88.25, 0.0, ro.default_tolerance()] is sols[0]
+    # a later request for fewer zeros is a prefix of the memo's solve, with no new solve
+    assert ro.solve_whole_plane(88.25, 0.0, 2).m_max == 2 and len(solves) == 1
 
 
 def test_repeated_solves_release_their_steps():

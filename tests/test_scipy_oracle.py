@@ -24,26 +24,30 @@ _FAILURES = {-2: "larger nsteps is needed", -3: "step size becomes too small",
              -4: "problem is probably stiff (interrupted)"}
 
 
-def _scipy_record(p, q, t0, y0, t_end, rtol, atol, nmax, n_zeros):
+def _scipy_record(p, q, t0, y0, t_end, hmax, rtol, atol, nmax, n_zeros):
     """``_dop853.solve_to_zeros`` through ``scipy.integrate.ode('dop853')``
     on the scalar oracle of the right-hand side: the same record, the
-    counters (nfcn, nstep, naccpt, nrejct), and SciPy's return code."""
+    counters (nfcn, nstep, naccpt, nrejct), and SciPy's return code.
+
+    The stepper never lands a step on ``t_end``, so SciPy integrates towards
+    +inf with ``max_step=hmax``, and the recorder stops it by the stepper's
+    rule: at the ``n_zeros``-th zero step, or after the first step past ``t_end``."""
     rows, zero_steps = [], []
 
     def record(t, y):
         if rows and (rows[-1][1] <= 0.0 <= y[0] or y[0] <= 0.0 <= rows[-1][1]):
             zero_steps.append(len(rows) - 1)
         rows.append([t, *y.tolist()])
-        return -1 if len(zero_steps) == n_zeros else 0
+        return -1 if len(zero_steps) == n_zeros or t > t_end else 0
 
     rhs = min_clamp_rhs(p, q)
     solver = integrate.ode(lambda t, y: rhs(t, y.tolist())).set_integrator(
-        "dop853", rtol=rtol, atol=atol, nsteps=nmax, beta=0.04)
+        "dop853", rtol=rtol, atol=atol, nsteps=nmax, max_step=hmax, beta=0.04)
     solver.set_solout(record)
     solver.set_initial_value(y0, t0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # SciPy warns of a run that ends short
-        solver.integrate(t_end)
+        solver.integrate(math.inf)
     counts = tuple(int(c) for c in solver._integrator.iwork[16:20])
     solver.set_solout(None)
     # u_t changes sign over the step, touching zero included, from the first zero step on
@@ -89,14 +93,15 @@ def test_steps_counters_and_events_match_scipy(key, monkeypatch):
 @pytest.mark.parametrize("p, alpha", [(1.5, 0.0), (50.0, 0.0), (400.0, 1.0), (1e4, 2.5)])
 def test_branch_edge_starts_match_scipy(p, alpha):
     # from each finite start on a branch edge of the right-hand side, the
-    # stepper's first accepted steps over one unit of t are SciPy's on the
-    # oracle, bit for bit; a start whose exponent is clamped at _EXP_CAP fails
-    # the first step-size test on both sides
+    # stepper's first accepted steps, of at most one unit of t, through the
+    # first one past t0 + 1, are SciPy's on the oracle, bit for bit; a start
+    # whose exponent is clamped at _EXP_CAP fails the first step-size test on
+    # both sides
     q, accepted = 2.0 + alpha, 0
     for t0, u0 in boundary_points(p, q):
         if not math.isfinite(u0):
             continue
-        args = (p, q, t0, [u0, 0.7, 1.25, -2.5], t0 + 1.0, 1e-12, 1e-14, 1000, 2)
+        args = (p, q, t0, [u0, 0.7, 1.25, -2.5], t0 + 1.0, 1.0, 1e-12, 1e-14, 1000, 2)
         *want, code = _scipy_record(*args)
         if code < 0:
             with pytest.raises(_dop853.StepFailure, match=f"^{re.escape(_FAILURES[code])}$"):

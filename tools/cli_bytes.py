@@ -98,6 +98,7 @@ INVOCATIONS = [
     ["bubble", "--i", "1", "--rmin", "5", "--rmax", "2"],
     ["bubble", "--i", "3", "--alpha", "1e307"],
     ["bubble", "--i", "10000"],
+    ["bubble", "--i", "100000"],
     # sweep
     ["sweep", "--config", "sweep.cfg", "--out", "out"],
     ["sweep", "--config", "sweep_tol.cfg", "--out", "out", "--workers", "1"],
